@@ -125,3 +125,31 @@ fn same_seed_async_trace_bytes_are_reproducible() {
         assert!(!t1.is_empty());
     }
 }
+
+/// The slowest async-team scatter on record (n = 64, non-rigid, seed
+/// 939120936): a robot near the Weber point passes the quasi-regularity
+/// prefilter in most of its class-A configurations, so every class-A
+/// Compute runs the full Lemma 3.4 test. The run is in class A for its
+/// first 1,328 ticks; the cap stops it shortly after the switch to M.
+/// The golden line was produced by the exhaustive election and Lemma 3.4
+/// test, before either stopped its searches early.
+#[test]
+fn slowest_async_team_scatter_keeps_its_metrics_line() {
+    let seed = 939_120_936;
+    let mut s = Scenario::new(gather_workloads::random_scatter(64, 10.0, seed), seed);
+    s.scheduler = "async";
+    s.audit = false;
+    s.rigid = false;
+    s.speed_skew = 0.5;
+    s.max_rounds = 1_400;
+    assert_eq!(
+        s.run().to_jsonl(),
+        concat!(
+            r#"{"gathered":false,"rounds":1400,"total_travel":46.872940898100445,"#,
+            r#""class_rounds":{"M":72,"A":1328},"class_sequence":["A","M"],"#,
+            r#""transitions":[["A","M",1]],"classifications":1976,"cache_hits":116,"#,
+            r#""weiszfeld_iters":1887,"analysis_cache":{"computed":1285,"hits":116,"#,
+            r#""dirty_skips":0},"async_events":1805}"#
+        )
+    );
+}

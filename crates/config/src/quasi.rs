@@ -84,9 +84,110 @@ pub fn quasi_regular_with_center(config: &Configuration, p: Point, tol: Tol) -> 
     // their directions from p are numerically meaningless.
     let zone = center_zone_radius(config, p, tol);
     let mult_p = gather_geom::soa::radial_pull(config.soa(), p, zone).1;
+    occupied_quasi_regularity(config, p, tol, mult_p)
+}
+
+/// The Lemma 3.4 test at a point `p` known to be occupied, given the
+/// number `mult_p` of robots in its centre zone.
+///
+/// Every search stops as soon as its answer is fixed, so the result is
+/// the one the exhaustive test gives (`quasi_regular_with_center_oracle`
+/// below keeps that test for the differential tests):
+///
+/// * `m` runs downwards and the first `m` that passes wins — the largest;
+/// * an `m` is left once its deficiency exceeds `mult_p`: it only grows;
+/// * an `m` with `m·⌈B/m⌉ − B > mult_p`, for `B` direction buckets, is
+///   skipped. In a passing `m` every orbit claims its own base at slot 0
+///   (otherwise the lowest orbit that does not claims a visited bucket
+///   and fails), and no bucket is claimed twice. So the `B` buckets fill
+///   exactly `B` slots of at least `⌈B/m⌉` orbits of `m` slots, at least
+///   `m·⌈B/m⌉ − B` slots stay empty, and each adds at least 1 to the
+///   deficiency. A later slot of an orbit may claim the orbit's own base
+///   again only if `2π/m ≤ ANGLE_EPS`, so the skip applies only while
+///   `2π/m > 2·ANGLE_EPS`; larger `m` are tested in full.
+fn occupied_quasi_regularity(
+    config: &Configuration,
+    p: Point,
+    tol: Tol,
+    mult_p: usize,
+) -> Option<usize> {
     let buckets = direction_buckets(config, p, tol);
     if buckets.is_empty() {
         return None; // all robots at p: gathered, not quasi-regular
+    }
+    let b = buckets.len();
+    (2..=config.len()).rev().find(|&m| {
+        let cannot_fill = TAU / m as f64 > 2.0 * ANGLE_EPS && m * b.div_ceil(m) - b > mult_p;
+        !cannot_fill && orbits_complete(&buckets, m, mult_p)
+    })
+}
+
+/// Can `mult_p` robots fill the empty slots of the `2π/m`-rotation orbits
+/// of the direction buckets up to each orbit's maximum (the Lemma 3.4
+/// criterion for one `m`)?
+fn orbits_complete(buckets: &[(f64, usize)], m: usize, mult_p: usize) -> bool {
+    let step = TAU / m as f64;
+    let mut visited = vec![false; buckets.len()];
+    let mut deficiency: usize = 0;
+    for i in 0..buckets.len() {
+        if visited[i] {
+            continue;
+        }
+        // The orbit of direction i under rotation by 2π/m: m slots.
+        let base = buckets[i].0;
+        let (mut filled, mut obj) = (0usize, 0usize);
+        for j in 0..m {
+            let target = base + step * j as f64;
+            if let Some(k) = slot_bucket(buckets, target) {
+                if visited[k] && k != i {
+                    // Slot already claimed by another orbit: the orbits
+                    // overlap inconsistently under this m.
+                    return false;
+                }
+                visited[k] = true;
+                filled += buckets[k].1;
+                obj = obj.max(buckets[k].1);
+            }
+        }
+        deficiency += m * obj - filled;
+        if deficiency > mult_p {
+            return false;
+        }
+    }
+    true
+}
+
+/// The lowest-index bucket within [`ANGLE_EPS`] of `target` (circularly),
+/// the one a linear scan in index order finds. The buckets are sorted by
+/// angle in `[0, 2π)`, so only those within `2·ANGLE_EPS` of the target,
+/// reduced to `[0, 2π)`, can qualify: just past the 0 seam, around the
+/// target, and just before the 2π seam, in that index order. Binary
+/// search finds each run; the exact predicate decides within them.
+fn slot_bucket(buckets: &[(f64, usize)], target: f64) -> Option<usize> {
+    let t = target.rem_euclid(TAU);
+    let slack = 2.0 * ANGLE_EPS;
+    let run = |lo: f64, hi: f64| {
+        buckets.partition_point(|b| b.0 < lo)..buckets.partition_point(|b| b.0 <= hi)
+    };
+    run(f64::NEG_INFINITY, t + slack - TAU)
+        .chain(run(t - slack, t + slack))
+        .chain(run(t - slack + TAU, f64::INFINITY))
+        .find(|&k| circ_diff(buckets[k].0, target) <= ANGLE_EPS)
+}
+
+/// The exhaustive Lemma 3.4 test: every `m`, every orbit, every slot by
+/// a linear scan. The differential tests hold
+/// [`quasi_regular_with_center`] to it.
+#[cfg(test)]
+fn quasi_regular_with_center_oracle(config: &Configuration, p: Point, tol: Tol) -> Option<usize> {
+    if config.mult(p, tol) == 0 {
+        return None;
+    }
+    let zone = center_zone_radius(config, p, tol);
+    let mult_p = gather_geom::soa::radial_pull(config.soa(), p, zone).1;
+    let buckets = direction_buckets(config, p, tol);
+    if buckets.is_empty() {
+        return None;
     }
     let n = config.len();
     let eps = ANGLE_EPS;
@@ -101,7 +202,6 @@ pub fn quasi_regular_with_center(config: &Configuration, p: Point, tol: Tol) -> 
             if visited[i] {
                 continue;
             }
-            // The orbit of direction i under rotation by 2π/m: m slots.
             let base = buckets[i].0;
             let mut counts: Vec<usize> = Vec::with_capacity(m);
             for j in 0..m {
@@ -111,8 +211,6 @@ pub fn quasi_regular_with_center(config: &Configuration, p: Point, tol: Tol) -> 
                     if circ_diff(*angle, target) <= eps {
                         found = *count;
                         if visited[k] && k != i {
-                            // Slot already claimed by another orbit: the
-                            // orbits overlap inconsistently under this m.
                             feasible = false;
                         }
                         visited[k] = true;
@@ -179,7 +277,9 @@ pub fn detect_quasi_regularity_hinted(
         if pull.norm() > zone_mult as f64 + 0.1 + ANGLE_EPS * config.len() as f64 {
             continue;
         }
-        if let Some(m) = quasi_regular_with_center(config, p, tol) {
+        // p is occupied by construction; its zone count is the Lemma 3.4
+        // spare-robot budget.
+        if let Some(m) = occupied_quasi_regularity(config, p, tol, zone_mult) {
             if best.is_none_or(|b| m > b.m) {
                 best = Some(QuasiRegularity {
                     center: p,
@@ -214,6 +314,7 @@ pub fn detect_quasi_regularity_hinted(
 mod tests {
     use super::*;
     use gather_geom::weber_objective;
+    use gather_prng::Rng;
 
     fn t() -> Tol {
         Tol::default()
@@ -424,5 +525,132 @@ mod tests {
         assert_eq!(qr.m, 4);
         assert!(!qr.center_occupied);
         assert!(qr.center.dist(Point::ORIGIN) < 1e-6);
+    }
+
+    /// Lemma 3.4 at every occupied point agrees with the exhaustive test.
+    fn assert_same_lemma_3_4(c: &Configuration) {
+        for p in c.distinct_points() {
+            assert_eq!(
+                quasi_regular_with_center(c, p, t()),
+                quasi_regular_with_center_oracle(c, p, t()),
+                "Lemma 3.4 differs from the oracle at {p:?} in {c}"
+            );
+        }
+    }
+
+    #[test]
+    fn slot_search_finds_the_bucket_the_linear_scan_finds() {
+        // Directions crowding both sides of the 0/2π seam and pairs just
+        // over ANGLE_EPS apart, so a slot's window can hold two buckets.
+        let mut rng = Rng::seed_from_u64(0x5107);
+        for _ in 0..200 {
+            let mut pts = Vec::new();
+            for _ in 0..rng.random_range(1usize..40) {
+                let th = match rng.random_range(0u32..3) {
+                    0 => rng.random_range(-4.0 * ANGLE_EPS..4.0 * ANGLE_EPS),
+                    1 => {
+                        TAU * rng.random_range(0i32..12) as f64 / 12.0
+                            + rng.random_range(-2e-3..2e-3)
+                    }
+                    _ => rng.random_range(0.0..TAU),
+                };
+                let r = rng.random_range(1.0..5.0);
+                pts.push(Point::new(r * th.cos(), r * th.sin()));
+            }
+            pts.push(Point::ORIGIN);
+            let buckets = direction_buckets(&Configuration::new(pts), Point::ORIGIN, t());
+            let linear = |target: f64| {
+                (0..buckets.len()).find(|&k| circ_diff(buckets[k].0, target) <= ANGLE_EPS)
+            };
+            for m in 2..=24usize {
+                let step = TAU / m as f64;
+                for &(base, _) in &buckets {
+                    for j in 0..m {
+                        let target = base + step * j as f64;
+                        assert_eq!(slot_bucket(&buckets, target), linear(target), "{target}");
+                    }
+                }
+            }
+            for _ in 0..200 {
+                let target = rng.random_range(-0.01..2.0 * TAU);
+                assert_eq!(slot_bucket(&buckets, target), linear(target), "{target}");
+            }
+        }
+    }
+
+    #[test]
+    fn lemma_3_4_matches_the_oracle_on_the_qr_gallery() {
+        // The T4 families: regular polygons, biangular, radially
+        // converged, occupied centre, and the asymmetric control.
+        for n in [4usize, 6, 8, 12, 16, 24, 32] {
+            for seed in 0..2u64 {
+                let k = (n / 2).max(2);
+                let families = [
+                    gather_workloads::regular_polygon(n, 3.0, seed as f64 * 0.21),
+                    gather_workloads::biangular(k, TAU / (2.3 * k as f64), 2.0, 4.5),
+                    gather_workloads::quasi_regular(k, 2, seed),
+                    gather_workloads::ring_with_center(n.saturating_sub(1).max(3), 1, 3.0),
+                    gather_workloads::asymmetric(n, seed),
+                ];
+                for pts in families {
+                    assert_same_lemma_3_4(&Configuration::canonical(pts, t()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lemma_3_4_matches_the_oracle_on_near_regular_polygons_with_centre_stacks() {
+        // Holes, doubled corners and angular jitter straddling ANGLE_EPS,
+        // with just about enough centre robots to fill the holes: the
+        // deficiency lands on both sides of the spare-robot budget.
+        let mut rng = Rng::seed_from_u64(0xC3A7);
+        let mut detected = 0;
+        for _ in 0..300 {
+            let ring = rng.random_range(3usize..25);
+            let phase = match rng.random_range(0u32..3) {
+                0 => 0.0,
+                1 => rng.random_range(-2.0 * ANGLE_EPS..2.0 * ANGLE_EPS),
+                _ => rng.random_range(0.0..TAU),
+            };
+            let jitter = [0.0, 0.5 * ANGLE_EPS, 2.0 * ANGLE_EPS][rng.random_range(0usize..3)];
+            let mut pts = Vec::new();
+            let mut holes = 0;
+            for k in 0..ring {
+                if rng.random_bool(0.2) {
+                    holes += 1;
+                    continue;
+                }
+                let th =
+                    TAU * k as f64 / ring as f64 + phase + jitter * rng.random_range(-1.0..1.0);
+                let r = rng.random_range(1.0..4.0);
+                let copies = if rng.random_bool(0.15) { 2 } else { 1 };
+                pts.extend(std::iter::repeat_n(
+                    Point::new(r * th.cos(), r * th.sin()),
+                    copies,
+                ));
+            }
+            let stack = (holes + rng.random_range(0usize..3)).saturating_sub(1);
+            pts.extend(std::iter::repeat_n(Point::ORIGIN, stack.max(1)));
+            let c = Configuration::new(pts);
+            assert_same_lemma_3_4(&c);
+            detected += usize::from(quasi_regular_with_center(&c, Point::ORIGIN, t()).is_some());
+        }
+        assert!(detected >= 30, "only {detected} centres were quasi-regular");
+    }
+
+    #[test]
+    fn lemma_3_4_matches_the_oracle_on_scatters() {
+        for n in 3..=24usize {
+            for seed in 0..4u64 {
+                let mut pts = gather_workloads::random_scatter(n, 10.0, 104_729 * seed + n as u64);
+                // Half of them with a stack on the first robot, so some
+                // points have a spare-robot budget above 1.
+                if seed % 2 == 1 {
+                    pts.extend(std::iter::repeat_n(pts[0], n / 3));
+                }
+                assert_same_lemma_3_4(&Configuration::new(pts));
+            }
+        }
     }
 }

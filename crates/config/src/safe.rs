@@ -82,7 +82,39 @@ pub fn safe_points(config: &Configuration, tol: Tol) -> Vec<Point> {
 /// positive ratio, preserving the order), so the result is equivariant:
 /// electing in a transformed frame yields the transformed point. This is
 /// what lets the shared round analysis carry it as the class-`A` target.
+///
+/// The order is lexicographic, so the winner lies in the best
+/// `(multiplicity, Σ distances)` group that holds a safe point at all:
+/// the positions are ranked by that key first, and the safety test (one
+/// direction-bucket sort per point) runs group by group, best first,
+/// until a group answers. On a generic scatter the first group is a
+/// single point that is safe, so one test replaces `|U(C)|` of them. The
+/// ranking sort is stable, so equal keys keep `distinct_points` order and
+/// the view tie-break returns the last maximum, as `Iterator::max_by`
+/// over all safe points does.
 pub fn elected_point(config: &Configuration, tol: Tol) -> Option<Point> {
+    let mut ranked: Vec<(usize, f64, Point)> = config
+        .distinct_points()
+        .into_iter()
+        .map(|p| (config.mult(p, tol), config.sum_of_distances(p), p))
+        .collect();
+    // Best first: larger multiplicity, then smaller sum of distances.
+    ranked.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.total_cmp(&b.1)));
+    ranked
+        .chunk_by(|a, b| a.0 == b.0 && a.1.total_cmp(&b.1).is_eq())
+        .find_map(|group| {
+            group
+                .iter()
+                .map(|&(_, _, p)| p)
+                .filter(|p| is_safe_point(config, *p, tol))
+                .max_by(|p, q| view_of(config, *p, tol).cmp(&view_of(config, *q, tol)))
+        })
+}
+
+/// The election by its definition: the `max_by` of the comparator over
+/// every safe point. The differential tests hold [`elected_point`] to it.
+#[cfg(test)]
+fn elected_point_oracle(config: &Configuration, tol: Tol) -> Option<Point> {
     safe_points(config, tol).into_iter().max_by(|p, q| {
         config
             .mult(*p, tol)
@@ -100,6 +132,7 @@ pub fn elected_point(config: &Configuration, tol: Tol) -> Option<Point> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gather_prng::Rng;
     use std::f64::consts::TAU;
 
     fn t() -> Tol {
@@ -232,5 +265,143 @@ mod tests {
         assert!(is_safe_point(&c, heavy, t()));
         assert!(!is_safe_point(&c, light, t()));
         assert_eq!(safe_points(&c, t()), vec![heavy]);
+    }
+
+    fn assert_same_election(c: &Configuration) {
+        assert_eq!(
+            elected_point(c, t()),
+            elected_point_oracle(c, t()),
+            "election differs from the max_by oracle on {c}"
+        );
+    }
+
+    #[test]
+    fn election_matches_the_oracle_on_scatters() {
+        for n in (3..=40).chain([48, 64, 100, 128, 200, 256]) {
+            let seeds = if n <= 64 { 3 } else { 1 };
+            for seed in 0..seeds {
+                let pts = gather_workloads::random_scatter(n, 10.0, 7919 * seed + n as u64);
+                assert_same_election(&Configuration::canonical(pts, t()));
+            }
+        }
+    }
+
+    #[test]
+    fn election_matches_the_oracle_on_stacked_multiplicities() {
+        let mut rng = Rng::seed_from_u64(0x57AC);
+        for trial in 0..300 {
+            let k = rng.random_range(2usize..24);
+            let mut pts = gather_workloads::random_scatter(k, 10.0, trial);
+            // Stack extra robots on random positions: multiplicities tie
+            // and differ, and stacks change which rays are safe.
+            for _ in 0..rng.random_range(1usize..2 * k) {
+                let i = rng.random_range(0..k);
+                pts.push(pts[i]);
+            }
+            assert_same_election(&Configuration::new(pts));
+        }
+    }
+
+    /// Robots at `(0, ±h)` and on the x axis at `±x` (and 0), possibly
+    /// stacked, possibly turned by a quarter, where every `x² + h²` is a
+    /// square: for `h = 12`, x in 5, 9, 16, 35; for `h = 120`, the 22
+    /// values `3600/a − a` over the divisors `a < 60` of 3600, enough
+    /// positions for the ranking sort to leave its small-input path. Every
+    /// pairwise distance is an integer, so distance sums are exact.
+    /// Mirrored positions then tie on multiplicity and sum bit for bit, and
+    /// the view decides — or, when the mirror is also a rotation, nothing
+    /// does and the last maximum wins.
+    fn integer_distance_ties(rng: &mut Rng) -> Vec<Point> {
+        let (h, xs): (f64, Vec<f64>) = if rng.random_bool(0.5) {
+            (12.0, vec![5.0, 9.0, 16.0, 35.0])
+        } else {
+            let xs = (1..60u32)
+                .filter(|a| 3600 % a == 0)
+                .map(|a| f64::from(3600 / a - a));
+            (120.0, xs.collect())
+        };
+        // Mirrored across the y axis half of the time, so that mirrored
+        // pairs tie; one-sided positions break the mirror otherwise.
+        let mirrored = rng.random_bool(0.5);
+        let mut pts = Vec::new();
+        let mut put = |p: Point, copies: usize| pts.extend(std::iter::repeat_n(p, copies));
+        for x in xs {
+            let copies = rng.random_range(1usize..3);
+            match (mirrored, rng.random_range(0u32..3)) {
+                (false, 0) => put(Point::new(x, 0.0), copies),
+                (false, 1) => put(Point::new(-x, 0.0), copies),
+                _ => {
+                    put(Point::new(x, 0.0), copies);
+                    put(Point::new(-x, 0.0), copies);
+                }
+            }
+        }
+        put(Point::ORIGIN, rng.random_range(0usize..2));
+        let above = rng.random_range(0usize..3);
+        put(Point::new(0.0, h), above);
+        let below = if rng.random_bool(0.5) {
+            above
+        } else {
+            rng.random_range(0usize..3)
+        };
+        put(Point::new(0.0, -h), below);
+        if rng.random_bool(0.5) {
+            for p in &mut pts {
+                *p = Point::new(-p.y, p.x);
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn election_matches_the_oracle_when_views_break_ties() {
+        let mut rng = Rng::seed_from_u64(0x71E5);
+        let mut decided_by_view = 0;
+        for _ in 0..1000 {
+            let pts = integer_distance_ties(&mut rng);
+            if pts.len() < 3 {
+                continue;
+            }
+            let c = Configuration::new(pts);
+            assert_same_election(&c);
+            if let Some(e) = elected_point_oracle(&c, t()) {
+                let key = |p: Point| (c.mult(p, t()), c.sum_of_distances(p).to_bits());
+                let rivals = safe_points(&c, t())
+                    .into_iter()
+                    .filter(|p| *p != e && key(*p) == key(e))
+                    .count();
+                decided_by_view += usize::from(rivals > 0);
+            }
+        }
+        assert!(
+            decided_by_view >= 60,
+            "only {decided_by_view} elections reached the view tie-break"
+        );
+        // A 3-4-5 rectangle: the four corners tie on multiplicity and
+        // sum, the view splits them into two opposite pairs, and the last
+        // corner of the winning pair wins.
+        let rect = [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0), (3.0, 4.0)].map(|(x, y)| Point::new(x, y));
+        assert_same_election(&Configuration::new(rect.to_vec()));
+    }
+
+    #[test]
+    fn election_matches_the_oracle_on_the_classification_gallery() {
+        // The T6 inputs: every class generator, and random scatters of
+        // the sizes whose class distribution T6 tabulates.
+        for n in [4usize, 6, 9, 12] {
+            for (_, _, pts) in gather_workloads::class_sweep(n, 5) {
+                assert_same_election(&Configuration::canonical(pts, t()));
+            }
+        }
+        for n in [3usize, 4, 5, 6, 8, 12] {
+            for seed in 0..50u64 {
+                let pts = gather_workloads::random_scatter(
+                    n,
+                    8.0,
+                    seed.wrapping_mul(31).wrapping_add(n as u64),
+                );
+                assert_same_election(&Configuration::canonical(pts, t()));
+            }
+        }
     }
 }

@@ -4,11 +4,17 @@
 use gather_serve::{Client, ScenarioSpec, ServeConfig, Server};
 use std::time::Duration;
 
+/// Round cap of a job that holds the dispatcher: on a 2-vCPU Xeon it
+/// runs 0.55–0.85 s in a release build and 3.3–4.1 s in a debug build,
+/// several times the 100–200 ms a test needs it to hold.
+const HOLD_ROUNDS: u64 = 3_000;
+
 /// A deterministic slow job: a 64-robot scatter under the δ-motion
 /// adversary with a tiny δ needs ~13k rounds to gather, so any smaller
-/// round cap burns its whole budget at a stable ~4 ms/round — long
-/// enough to hold the dispatcher while a test fills the queue behind it.
-fn slow_spec(rounds: u64) -> String {
+/// round cap burns its whole budget. Each slow job of a test takes its
+/// own `seed`: a repeated spec would be answered from the result cache
+/// at admission, without ever reaching the queue.
+fn slow_spec(rounds: u64, seed: u64) -> String {
     ScenarioSpec {
         workload: "scatter".to_string(),
         class: None,
@@ -16,9 +22,22 @@ fn slow_spec(rounds: u64) -> String {
         delta: 0.001,
         motion: "delta",
         max_rounds: rounds,
+        seed,
         ..ScenarioSpec::default()
     }
     .to_json()
+}
+
+/// Posts `spec` from its own client thread; the thread returns the status.
+fn post_in_background(addr: &str, spec: String) -> std::thread::JoinHandle<u16> {
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        Client::connect(&addr)
+            .unwrap()
+            .post_run(&spec)
+            .unwrap()
+            .status
+    })
 }
 
 fn quick_spec() -> String {
@@ -264,20 +283,14 @@ fn full_queue_rejects_with_429_and_retry_after() {
 
     // Stagger the slow jobs so the first is executing and the second is
     // the queue's sole slot before the probe fires.
-    let slow = slow_spec(600);
-    let mut busy = Vec::new();
-    for _ in 0..2 {
-        let addr = addr.clone();
-        let slow = slow.clone();
-        busy.push(std::thread::spawn(move || {
-            Client::connect(&addr)
-                .unwrap()
-                .post_run(&slow)
-                .unwrap()
-                .status
-        }));
-        std::thread::sleep(Duration::from_millis(300));
-    }
+    let hold = post_in_background(&addr, slow_spec(HOLD_ROUNDS, 1));
+    std::thread::sleep(Duration::from_millis(100));
+    let queued = post_in_background(&addr, slow_spec(300, 2));
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        !hold.is_finished(),
+        "precondition: the first slow job must still hold the dispatcher"
+    );
 
     let mut probe = Client::connect(&addr).expect("connect");
     let rejected = probe.post_run(&quick_spec()).unwrap();
@@ -294,7 +307,7 @@ fn full_queue_rejects_with_429_and_retry_after() {
         rejected.text()
     );
 
-    for handle in busy {
+    for handle in [hold, queued] {
         assert_eq!(handle.join().unwrap(), 200, "admitted slow jobs complete");
     }
     let metrics = probe.get("/metrics").unwrap().text();
@@ -316,18 +329,12 @@ fn expired_deadline_gets_504_without_running() {
     let addr = server.addr();
 
     // Hold the dispatcher with a slow job...
-    let slow = slow_spec(300);
-    let busy = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            Client::connect(&addr)
-                .unwrap()
-                .post_run(&slow)
-                .unwrap()
-                .status
-        })
-    };
+    let busy = post_in_background(&addr, slow_spec(HOLD_ROUNDS, 3));
     std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        !busy.is_finished(),
+        "precondition: the slow job must still hold the dispatcher"
+    );
 
     // ...then queue a request whose deadline expires while it waits.
     let impatient = format!("{{\"scenarios\":[{}],\"deadline_ms\":1}}", quick_spec());
@@ -360,12 +367,16 @@ fn shutdown_drains_admitted_work_and_stops_answering() {
     let addr = server.addr();
 
     // Admit a job slow enough that shutdown provably overlaps it.
-    let slow = slow_spec(300);
+    let slow = slow_spec(HOLD_ROUNDS, 4);
     let in_flight = {
         let addr = addr.clone();
         std::thread::spawn(move || Client::connect(&addr).unwrap().post_run(&slow).unwrap())
     };
     std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        !in_flight.is_finished(),
+        "precondition: the slow job must still run when shutdown starts"
+    );
 
     server.shutdown();
 

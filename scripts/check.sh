@@ -12,6 +12,13 @@ cargo build --release --offline --workspace
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 
+echo "== perfbench-selftest (repo benchmark against crates/*) =="
+# perfbench is a workspace of its own, so the steps above never build it.
+# Its self-tests run every workload and checker at tiny size plus the
+# negative tests, so a change to the crates it calls that breaks the
+# benchmark fails here rather than in the next benchmark run.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 if cargo fmt --version >/dev/null 2>&1; then
   echo "== fmt =="
   cargo fmt --all --check
