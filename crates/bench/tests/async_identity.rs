@@ -153,3 +153,31 @@ fn slowest_async_team_scatter_keeps_its_metrics_line() {
         )
     );
 }
+
+/// The n = 256 rigid async-team scatter 80896415 (async-team seed 1):
+/// class A for 339 ticks, then class M, where the robots pile up on the
+/// heavy point and every apply canonicalises ever larger stacks. The cap
+/// stops it after 1,000 of the 6,132 ticks it takes to gather, with
+/// three quarters of its travel done. The golden line was
+/// produced by the pairwise canonicalisation scan, before the
+/// sort-and-sweep replaced it.
+#[test]
+fn stacking_async_team_scatter_keeps_its_metrics_line() {
+    let seed = 80_896_415;
+    let mut s = Scenario::new(gather_workloads::random_scatter(256, 10.0, seed), seed);
+    s.scheduler = "async";
+    s.audit = false;
+    s.rigid = true;
+    s.speed_skew = 0.5;
+    s.max_rounds = 1_000;
+    assert_eq!(
+        s.run().to_jsonl(),
+        concat!(
+            r#"{"gathered":false,"rounds":1000,"total_travel":1528.3058979801592,"#,
+            r#""class_rounds":{"M":661,"A":339},"class_sequence":["A","M"],"#,
+            r#""transitions":[["A","M",1]],"classifications":1362,"cache_hits":55,"#,
+            r#""weiszfeld_iters":11137,"analysis_cache":{"computed":946,"hits":55,"#,
+            r#""dirty_skips":0},"async_events":1000}"#
+        )
+    );
+}

@@ -258,41 +258,140 @@ impl std::fmt::Display for Configuration {
 }
 
 /// Single-linkage clustering of points within `snap`, replacing each
-/// cluster by its centroid. O(n²) union-find; n is small (robot counts).
+/// cluster by its centroid.
 fn canonicalize(points: Vec<Point>, snap: f64) -> Vec<Point> {
     let mut out = Vec::with_capacity(points.len());
     canonicalize_into(&points, snap, &mut CanonScratch::default(), &mut out);
     out
 }
 
-/// Reusable working memory for [`canonicalize_into`] and
-/// [`canonicalize_dirty_into`]: the union-find parent array, the
-/// per-cluster centroid accumulators, and the index/dedup buffers of the
-/// dirty path.
+/// Reusable working memory for [`canonicalize_into`],
+/// [`canonicalize_sorted_into`] and [`lex_order_update`]: the union-find
+/// parent array, the per-cluster centroid accumulators, the sweep's run
+/// heads and the lexicographic-order buffers.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
     parent: Vec<usize>,
-    sum_x: Vec<f64>,
-    sum_y: Vec<f64>,
+    sums: Vec<[f64; 2]>,
     count: Vec<usize>,
-    idx: Vec<usize>,
+    heads: Vec<usize>,
+    joined: Vec<bool>,
+    order: Vec<usize>,
+    keys: Vec<(i64, i64, usize)>,
+    moved: Vec<usize>,
     mask: Vec<bool>,
-    uniq: Vec<Point>,
 }
 
-/// Union-find root lookup with recursive path compression, shared by the
-/// full and dirty canonicalization passes.
-fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-    if parent[i] != i {
-        let root = find(parent, parent[i]);
-        parent[i] = root;
+/// Union-find root lookup with path halving. Iterative, so a long union
+/// chain (a stack of many robots) cannot exhaust the thread's stack.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        let grand = parent[parent[i]];
+        parent[i] = grand;
+        i = grand;
     }
-    parent[i]
+    i
+}
+
+fn union(parent: &mut [usize], i: usize, j: usize) {
+    let ri = find(parent, i);
+    let rj = find(parent, j);
+    if ri != rj {
+        parent[ri] = rj;
+    }
+}
+
+/// The order [`canonicalize_sorted_into`] walks: `Point::lex_cmp`, then
+/// the index. A strict total order, so the result does not depend on the
+/// sort algorithm.
+fn lex_index_cmp(points: &[Point], a: usize, b: usize) -> std::cmp::Ordering {
+    points[a].lex_cmp(points[b]).then(a.cmp(&b))
+}
+
+fn bitwise_eq(p: Point, q: Point) -> bool {
+    p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits()
+}
+
+/// `f64::total_cmp` as an integer key: the same bit flip `total_cmp`
+/// applies before comparing, so `total_key(a).cmp(&total_key(b))` is
+/// `a.total_cmp(&b)`.
+fn total_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Fills `order` with the indices of `points` in lexicographic order
+/// (`Point::lex_cmp`, then the index): the input of
+/// [`canonicalize_sorted_into`]. Sorts integer keys in `scratch` rather
+/// than indices through a comparator, which keeps small inputs cheap.
+pub fn lex_order_into(points: &[Point], order: &mut Vec<usize>, scratch: &mut CanonScratch) {
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (total_key(p.x), total_key(p.y), i)),
+    );
+    keys.sort_unstable();
+    order.clear();
+    order.extend(keys.iter().map(|k| k.2));
+}
+
+/// Repairs a kept lexicographic order after some points changed: `order`
+/// was the [`lex_order_into`] order of an earlier point vector that
+/// differs from `points` at most at the indices in `changed` (distinct,
+/// as `gather_geom::soa::diff_indices` lists them). Afterwards `order` is
+/// exactly `lex_order_into(points)`, at O(n + d log n) cost for
+/// d = `changed.len()` instead of a fresh O(n log n) sort.
+///
+/// # Panics
+///
+/// Panics if `order` and `points` differ in length or an index in
+/// `changed` is out of bounds.
+pub fn lex_order_update(
+    points: &[Point],
+    changed: &[usize],
+    order: &mut Vec<usize>,
+    scratch: &mut CanonScratch,
+) {
+    assert_eq!(order.len(), points.len(), "kept order of another length");
+    if changed.is_empty() {
+        return;
+    }
+    let CanonScratch {
+        order: merged,
+        moved,
+        mask,
+        ..
+    } = scratch;
+    mask.clear();
+    mask.resize(points.len(), false);
+    for &i in changed {
+        mask[i] = true;
+    }
+    // The unchanged indices keep their keys, so they stay sorted among
+    // themselves; each changed one is then inserted where a binary search
+    // puts it.
+    order.retain(|&i| !mask[i]);
+    moved.clear();
+    moved.extend_from_slice(changed);
+    moved.sort_unstable_by(|&a, &b| lex_index_cmp(points, a, b));
+    merged.clear();
+    let mut rest = &order[..];
+    for &j in moved.iter() {
+        let at = rest.partition_point(|&i| lex_index_cmp(points, i, j).is_lt());
+        merged.extend_from_slice(&rest[..at]);
+        merged.push(j);
+        rest = &rest[at..];
+    }
+    merged.extend_from_slice(rest);
+    std::mem::swap(order, merged);
 }
 
 /// Allocation-free canonicalization: snaps `points` exactly like
 /// [`Configuration::canonical`] and writes the result into `out` (cleared
-/// first). `scratch` keeps the union-find arrays alive between calls so the
+/// first). `scratch` keeps the working arrays alive between calls so the
 /// steady-state round loop performs no heap allocation here.
 pub fn canonicalize_into(
     points: &[Point],
@@ -300,115 +399,102 @@ pub fn canonicalize_into(
     scratch: &mut CanonScratch,
     out: &mut Vec<Point>,
 ) {
-    let n = points.len();
-    let parent = &mut scratch.parent;
-    parent.clear();
-    parent.extend(0..n);
-
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if points[i].within(points[j], snap) {
-                let ri = find(parent, i);
-                let rj = find(parent, j);
-                if ri != rj {
-                    parent[ri] = rj;
-                }
-            }
-        }
-    }
-
-    emit_centroids(points, scratch, out);
+    let mut order = std::mem::take(&mut scratch.order);
+    lex_order_into(points, &mut order, scratch);
+    canonicalize_sorted_into(points, &order, snap, scratch, out);
+    scratch.order = order;
 }
 
-/// The centroid-per-cluster emission phase shared by the full and dirty
-/// canonicalization passes: per-cluster sums accumulated in index order
-/// (so the output depends only on the partition, never on which member
-/// became the union-find root), then `out[i] = centroid(cluster of i)`.
-fn emit_centroids(points: &[Point], scratch: &mut CanonScratch, out: &mut Vec<Point>) {
-    let n = points.len();
-    let parent = &mut scratch.parent;
-    let (sum_x, sum_y, count) = (&mut scratch.sum_x, &mut scratch.sum_y, &mut scratch.count);
-    sum_x.clear();
-    sum_x.resize(n, 0.0);
-    sum_y.clear();
-    sum_y.resize(n, 0.0);
-    count.clear();
-    count.resize(n, 0);
-    for (i, p) in points.iter().enumerate() {
-        let r = find(parent, i);
-        sum_x[r] += p.x;
-        sum_y[r] += p.y;
-        count[r] += 1;
-    }
-    out.clear();
-    out.extend((0..n).map(|i| {
-        let r = find(parent, i);
-        Point::new(sum_x[r] / count[r] as f64, sum_y[r] / count[r] as f64)
-    }));
-}
-
-/// [`canonicalize_into`] in O(|dirty|·n + n log n) instead of O(n²), valid
-/// only under the incremental engine's separation invariant.
+/// [`canonicalize_into`] given the [`lex_order_into`] order of `points`,
+/// which a caller may keep across calls (see [`lex_order_update`]).
 ///
-/// `dirty` lists the indices whose coordinates may have changed since a
-/// previous canonical output; every other ("clean") point must be a value
-/// from that output, and that output must satisfy [`snap_separated`] —
-/// i.e. any two clean points are either bitwise equal or farther than
-/// `snap` apart. Under that precondition the single-linkage partition is
-/// reproduced exactly from two cheap edge families: bitwise-equality runs
-/// among the clean points (found by one lexicographic index sort) and every
-/// dirty-vs-all pair. The centroid emission is shared with the full pass,
-/// so the result is bitwise identical to [`canonicalize_into`].
+/// The partition is the pair scan's: `i` and `j` share a cluster iff a
+/// chain of `within(snap)` pairs joins them. It is found in one sort-order
+/// walk instead of n² tests:
+///
+/// - A run of bitwise-equal points is adjacent in the order. When its
+///   head `p` satisfies `p.within(p, snap)` — every finite point does
+///   unless `snap` is NaN — the whole run is one cluster, joined in
+///   O(run). A run that fails the test (non-finite coordinates) is left
+///   unmerged, and each of its points takes part in the sweep itself.
+/// - Each run head is tested against the earlier heads, nearest first,
+///   with the pair scan's `within` call, and its window ends at the first
+///   earlier head with `dx·dx > snap²`. Subtraction and squaring round
+///   monotonically, so every head before that one is at least as far in x
+///   and cannot be within `snap` either: the stop is exact.
+///
+/// The centroids are summed in index order, so the output depends only on
+/// the partition and is bitwise identical to the pair scan's.
 ///
 /// # Panics
 ///
-/// Panics if any dirty index is out of bounds.
-pub fn canonicalize_dirty_into(
+/// Panics if an index in `order` is out of bounds. A wrong `order` gives a
+/// wrong partition; debug builds check it is sorted.
+pub fn canonicalize_sorted_into(
     points: &[Point],
+    order: &[usize],
     snap: f64,
-    dirty: &[usize],
     scratch: &mut CanonScratch,
     out: &mut Vec<Point>,
 ) {
     let n = points.len();
-    let parent = &mut scratch.parent;
+    debug_assert_eq!(order.len(), n, "order of another length");
+    debug_assert!(
+        order
+            .windows(2)
+            .all(|w| lex_index_cmp(points, w[0], w[1]).is_lt()),
+        "order is not the lexicographic order of the points"
+    );
+    let CanonScratch {
+        parent,
+        heads,
+        joined,
+        sums,
+        count,
+        ..
+    } = scratch;
     parent.clear();
     parent.extend(0..n);
-
-    let mask = &mut scratch.mask;
-    mask.clear();
-    mask.resize(n, false);
-    for &d in dirty {
-        mask[d] = true;
+    joined.clear();
+    joined.resize(n, false);
+    if sums.len() < n {
+        sums.resize(n, [0.0; 2]);
+        count.resize(n, 0);
     }
-
-    // Clean-clean edges: by the separation precondition, two clean points
-    // within snap are bitwise equal, so one lexicographic sort exposes all
-    // such pairs as adjacent runs.
-    let idx = &mut scratch.idx;
-    idx.clear();
-    idx.extend((0..n).filter(|&i| !mask[i]));
-    idx.sort_by(|&a, &b| points[a].lex_cmp(points[b]));
-    for w in 1..idx.len() {
-        let (i, j) = (idx[w - 1], idx[w]);
-        if points[i] == points[j] {
-            let ri = find(parent, i);
-            let rj = find(parent, j);
-            if ri != rj {
-                parent[ri] = rj;
+    // Marks `i` as a member of a cluster of two or more and clears its
+    // accumulators, so any of them can serve as the cluster's root.
+    let mut join = |i: usize| {
+        joined[i] = true;
+        sums[i] = [0.0; 2];
+        count[i] = 0;
+    };
+    heads.clear();
+    let limit = snap * snap;
+    // The head of the run being read, if its run merges.
+    let mut run: Option<(usize, Point)> = None;
+    for &i in order {
+        let q = points[i];
+        match run {
+            Some((h, p)) if bitwise_eq(p, q) => {
+                parent[i] = h;
+                join(i);
+                join(h);
             }
-        }
-    }
-
-    // Dirty-vs-all edges: a moved point may snap to anything.
-    for &i in dirty {
-        for j in 0..n {
-            if j != i && points[i].within(points[j], snap) {
-                let ri = find(parent, i);
-                let rj = find(parent, j);
-                if ri != rj {
-                    parent[ri] = rj;
+            _ => {
+                for &g in heads.iter().rev() {
+                    let p = points[g];
+                    let dx = q.x - p.x;
+                    if dx * dx > limit {
+                        break;
+                    }
+                    if p.within(q, snap) {
+                        union(parent, g, i);
+                        join(g);
+                        join(i);
+                    }
                 }
+                heads.push(i);
+                run = q.within(q, snap).then_some((i, q));
             }
         }
     }
@@ -416,34 +502,83 @@ pub fn canonicalize_dirty_into(
     emit_centroids(points, scratch, out);
 }
 
-/// Is every pair of *distinct* values in `points` farther than `snap`
-/// apart? This is the invariant [`canonicalize_dirty_into`] requires of
-/// the clean points; the incremental engine re-verifies it on each
-/// canonical output and falls back to the full pass when it fails.
-/// Bitwise duplicates are deduplicated first, so stacked multiplicities
-/// cost O(n log n), not O(n²).
-pub fn snap_separated(points: &[Point], snap: f64, scratch: &mut CanonScratch) -> bool {
-    let uniq = &mut scratch.uniq;
-    uniq.clear();
-    uniq.extend_from_slice(points);
-    uniq.sort_by(|a, b| a.lex_cmp(*b));
-    uniq.dedup();
-    for i in 0..uniq.len() {
-        for j in (i + 1)..uniq.len() {
-            if uniq[j].x - uniq[i].x > snap {
-                break;
-            }
-            if uniq[i].within(uniq[j], snap) {
-                return false;
+/// The centroid-per-cluster emission phase of the canonicalization:
+/// per-cluster sums accumulated in index order (so the output depends
+/// only on the partition, never on which member became the union-find
+/// root), then `out[i] = centroid(cluster of i)`. A point in no cluster
+/// of two or more is its own centroid, `(0.0 + x) / 1.0`, which is
+/// `0.0 + x` exactly (division by one is exact, and a NaN stays that
+/// NaN): it needs neither the union-find nor the sums. Reads the `joined`
+/// flags and the accumulators [`canonicalize_sorted_into`] cleared.
+fn emit_centroids(points: &[Point], scratch: &mut CanonScratch, out: &mut Vec<Point>) {
+    let CanonScratch {
+        parent,
+        joined,
+        sums,
+        count,
+        ..
+    } = scratch;
+    for (i, p) in points.iter().enumerate() {
+        if joined[i] {
+            let r = find(parent, i);
+            // Point `i` straight at its root for the second pass. No union
+            // follows, so the roots stay put.
+            parent[i] = r;
+            sums[r][0] += p.x;
+            sums[r][1] += p.y;
+            count[r] += 1;
+        }
+    }
+    out.clear();
+    out.extend(
+        points
+            .iter()
+            .zip(joined.iter())
+            .zip(parent.iter())
+            .map(|((p, &j), &r)| {
+                if j {
+                    let c = count[r] as f64;
+                    Point::new(sums[r][0] / c, sums[r][1] / c)
+                } else {
+                    Point::new(0.0 + p.x, 0.0 + p.y)
+                }
+            }),
+    );
+}
+
+/// The canonicalisation the sort-and-sweep replaced, kept whole: every
+/// pair tested with `within`, then per-cluster sums in index order. The
+/// differential tests hold [`canonicalize_sorted_into`] to it bit for bit.
+#[cfg(test)]
+fn canonicalize_pairwise_oracle(points: &[Point], snap: f64) -> Vec<Point> {
+    let n = points.len();
+    let mut parent: Vec<usize> = (0..n).collect();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if points[i].within(points[j], snap) {
+                union(&mut parent, i, j);
             }
         }
     }
-    true
+    let (mut sum_x, mut sum_y, mut count) = (vec![0.0; n], vec![0.0; n], vec![0usize; n]);
+    for (i, p) in points.iter().enumerate() {
+        let r = find(&mut parent, i);
+        sum_x[r] += p.x;
+        sum_y[r] += p.y;
+        count[r] += 1;
+    }
+    (0..n)
+        .map(|i| {
+            let r = find(&mut parent, i);
+            Point::new(sum_x[r] / count[r] as f64, sum_y[r] / count[r] as f64)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gather_prng::Rng;
 
     fn t() -> Tol {
         Tol::default()
@@ -618,33 +753,321 @@ mod tests {
         assert_synced(&collected);
     }
 
-    /// Simulates the incremental round loop: start from a canonical
-    /// separated output, move the `dirty` indices, and check the dirty pass
-    /// reproduces the full pass bitwise.
-    fn assert_dirty_matches_full(points: &[Point], dirty: &[usize], snap: f64) {
-        let mut scratch = CanonScratch::default();
-        let (mut full, mut incr) = (Vec::new(), Vec::new());
-        canonicalize_into(points, snap, &mut scratch, &mut full);
-        canonicalize_dirty_into(points, snap, dirty, &mut scratch, &mut incr);
-        assert_eq!(
-            full.len(),
-            incr.len(),
-            "dirty canonicalization changed the length"
-        );
-        for (i, (a, b)) in full.iter().zip(&incr).enumerate() {
+    fn assert_same_bits(got: &[Point], want: &[Point], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length changed");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
             assert!(
-                a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits(),
-                "dirty canonicalization diverged at {i}: {a} vs {b}"
+                bitwise_eq(*a, *b),
+                "{ctx}: diverged at {i}: {a:?} vs the pair scan's {b:?}"
             );
         }
     }
 
+    /// Canonicalises `points` through the full path and checks the output
+    /// against the pair-scan oracle bit for bit.
+    fn assert_matches_oracle(points: &[Point], snap: f64, ctx: &str) -> Vec<Point> {
+        let want = canonicalize_pairwise_oracle(points, snap);
+        let mut out = Vec::new();
+        canonicalize_into(points, snap, &mut CanonScratch::default(), &mut out);
+        assert_same_bits(&out, &want, ctx);
+        out
+    }
+
+    /// One apply of the incremental engine's kept-order protocol: `order`
+    /// is the lex order of `prev`; the moves give `moved`. Repairs the
+    /// order for the moves, canonicalises through it, repairs it again for
+    /// what canonicalisation changed, and checks the output against the
+    /// oracle and the kept order against a fresh sort.
+    fn kept_order_apply(
+        prev: &[Point],
+        moved: &[Point],
+        order: &mut Vec<usize>,
+        snap: f64,
+        scratch: &mut CanonScratch,
+        ctx: &str,
+    ) -> Vec<Point> {
+        let mut changed = Vec::new();
+        gather_geom::soa::diff_indices(prev, moved, &mut changed);
+        lex_order_update(moved, &changed, order, scratch);
+        assert_eq!(
+            *order,
+            fresh_order(moved),
+            "{ctx}: kept order after the moves"
+        );
+        let mut out = Vec::new();
+        canonicalize_sorted_into(moved, order, snap, scratch, &mut out);
+        assert_same_bits(&out, &canonicalize_pairwise_oracle(moved, snap), ctx);
+        gather_geom::soa::diff_indices(moved, &out, &mut changed);
+        lex_order_update(&out, &changed, order, scratch);
+        assert_eq!(
+            *order,
+            fresh_order(&out),
+            "{ctx}: kept order after canonicalisation"
+        );
+        out
+    }
+
+    /// The lexicographic order by its definition: a stable sort by
+    /// `lex_cmp` of the indices in ascending order.
+    fn fresh_order(points: &[Point]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        order.sort_by(|&a, &b| points[a].lex_cmp(points[b]));
+        order
+    }
+
+    /// Uniform points in a box of half-width `w`.
+    fn scatter(rng: &mut Rng, n: usize, w: f64) -> Vec<Point> {
+        (0..n)
+            .map(|_| Point::new(rng.random_range(-w..w), rng.random_range(-w..w)))
+            .collect()
+    }
+
     #[test]
-    fn dirty_canonicalization_matches_full_pass() {
+    fn sweep_matches_the_pair_scan_on_scatters() {
+        let snap = t().snap;
+        let mut rng = Rng::seed_from_u64(0xCA70);
+        for n in (1..=64).chain([100, 128, 255, 256, 500, 512, 1000, 1024]) {
+            // Spread out (no merges), then dense enough that a fair share
+            // of points cluster, some in chains.
+            for w in [10.0, snap * (n as f64).sqrt()] {
+                let pts = scatter(&mut rng, n, w);
+                assert_matches_oracle(&pts, snap, &format!("scatter n={n} w={w:e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_pair_scan_on_stacks() {
+        let snap = t().snap;
+        let mut rng = Rng::seed_from_u64(0x57AC);
+        for trial in 0..200 {
+            let k = rng.random_range(1usize..12);
+            let mut pts = scatter(&mut rng, k, 5.0);
+            for _ in 0..rng.random_range(1usize..200) {
+                let p = pts[rng.random_range(0..k)];
+                // Bitwise copies, and copies jittered within (or just
+                // beyond) the snap radius.
+                let q = match rng.random_range(0usize..3) {
+                    0 => p,
+                    1 => Point::new(
+                        p.x + rng.random_range(-0.7..0.7) * snap,
+                        p.y + rng.random_range(-0.7..0.7) * snap,
+                    ),
+                    _ => Point::new(p.x + rng.random_range(-3.0..3.0) * snap, p.y),
+                };
+                pts.push(q);
+            }
+            let ctx = format!("stacks trial {trial}");
+            let once = assert_matches_oracle(&pts, snap, &ctx);
+            // A canonical output, with stacks as bitwise runs, again.
+            assert_matches_oracle(&once, snap, &format!("{ctx}, re-canonicalised"));
+        }
+    }
+
+    #[test]
+    fn sweep_follows_chains_longer_than_one_window() {
         let snap = 1e-6;
-        // Clean points: a canonical separated output — stacked multiplicity
-        // at the origin plus spread satellites (all pairwise > snap).
-        let mut pts = vec![
+        // Consecutive links within snap, the ends hundreds of windows apart.
+        let along = |dx: f64, dy: f64| -> Vec<Point> {
+            (0..400)
+                .map(|k| Point::new(3.0 + k as f64 * dx, -1.0 + k as f64 * dy))
+                .collect()
+        };
+        for (dx, dy) in [
+            (0.9e-6, 0.0),
+            (0.0, 0.9e-6),
+            (0.6e-6, 0.6e-6),
+            (0.6e-6, -0.6e-6),
+            (1.1e-6, 0.0),
+        ] {
+            let mut pts = along(dx, dy);
+            let out = assert_matches_oracle(&pts, snap, &format!("chain ({dx:e}, {dy:e})"));
+            let clusters = Configuration::new(out).distinct().len();
+            assert_eq!(
+                clusters,
+                if dx > snap { 400 } else { 1 },
+                "({dx:e}, {dy:e})"
+            );
+            // Shuffled indices and a bystander stack in the middle.
+            let mut rng = Rng::seed_from_u64(dx.to_bits() ^ dy.to_bits());
+            for i in (1..pts.len()).rev() {
+                pts.swap(i, rng.random_range(0..i + 1));
+            }
+            pts.extend(std::iter::repeat_n(pts[7], 5));
+            assert_matches_oracle(&pts, snap, &format!("shuffled chain ({dx:e}, {dy:e})"));
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_pair_scan_at_the_snap_boundary() {
+        let ulps = |v: f64| [v.next_down(), v, v.next_up()];
+        for snap in [1e-6, 0.1, 0.3, 1.0, 3.0] {
+            for base in [0.0, -0.0, 1.0, -7.25, 1e6] {
+                // Along x: dx = snap and one ulp either side, at bases
+                // where the subtraction itself rounds.
+                for x in ulps(base + snap) {
+                    let pts = [Point::new(base, 2.0), Point::new(x, 2.0)];
+                    assert_matches_oracle(&pts, snap, &format!("dx: {base} -> {x:e}"));
+                }
+                // Oblique: dist = snap up to rounding, each coordinate
+                // nudged by an ulp, with the window's x test passing.
+                let (c, s) = (0.6 * snap, 0.8 * snap);
+                for x in ulps(base + c) {
+                    for y in ulps(5.0 + s) {
+                        let pts = [Point::new(base, 5.0), Point::new(x, y), Point::new(x, y)];
+                        assert_matches_oracle(
+                            &pts,
+                            snap,
+                            &format!("dist: {base} -> ({x:e}, {y:e})"),
+                        );
+                    }
+                }
+            }
+            // dist = snap exactly: a 3-4-5 triangle scaled by a power of
+            // two has no rounding anywhere.
+            let unit = snap / 5.0;
+            let scale = 2f64.powi(unit.log2().floor() as i32);
+            for x in ulps(3.0 * scale) {
+                for y in ulps(4.0 * scale) {
+                    let pts = [Point::new(0.0, 0.0), Point::new(x, y)];
+                    let out =
+                        assert_matches_oracle(&pts, 5.0 * scale, &format!("3-4-5: ({x:e}, {y:e})"));
+                    if (x, y) == (3.0 * scale, 4.0 * scale) {
+                        assert_eq!(out[0], out[1], "a pair at exactly snap must merge");
+                    }
+                }
+            }
+            // A third point one window further: the stop must not skip it.
+            let pts = [
+                Point::new(0.0, 0.0),
+                Point::new(snap.next_up(), 0.0),
+                Point::new(snap, snap.next_down()),
+            ];
+            assert_matches_oracle(&pts, snap, &format!("window edge, snap {snap}"));
+        }
+    }
+
+    #[test]
+    fn sweep_merges_negative_and_positive_zero() {
+        let z = [0.0, -0.0];
+        let mut pts = Vec::new();
+        for &x in &z {
+            for &y in &z {
+                pts.push(Point::new(x, y));
+                pts.push(Point::new(x, y));
+            }
+        }
+        pts.push(Point::new(1.0, -0.0));
+        pts.push(Point::new(1.0, 0.0));
+        for snap in [1e-6, 0.0] {
+            let out = assert_matches_oracle(&pts, snap, &format!("signed zeros, snap {snap}"));
+            assert_eq!(Configuration::new(out).distinct().len(), 2, "snap {snap}");
+        }
+    }
+
+    #[test]
+    fn sweep_with_zero_snap_merges_only_equal_values() {
+        let mut rng = Rng::seed_from_u64(0x5A0);
+        let mut pts = scatter(&mut rng, 40, 1.0);
+        for i in 0..40 {
+            pts.push(pts[i / 3]);
+        }
+        pts.push(Point::new(pts[0].x.next_up(), pts[0].y));
+        let out = assert_matches_oracle(&pts, 0.0, "snap 0");
+        assert_eq!(Configuration::new(out).distinct().len(), 41);
+    }
+
+    #[test]
+    fn sweep_matches_the_pair_scan_on_non_finite_points() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let odd = [
+            Point::new(inf, 0.0),
+            Point::new(-inf, 0.0),
+            Point::new(0.0, inf),
+            Point::new(0.0, -inf),
+            Point::new(inf, inf),
+            Point::new(nan, 0.0),
+            Point::new(-nan, 0.0),
+            Point::new(0.0, nan),
+            Point::new(-nan, -nan),
+            // Two copies sum past f64::MAX in y, so merging them would
+            // show in the output.
+            Point::new(inf, f64::MAX),
+            Point::new(nan, -f64::MAX),
+        ];
+        let finite = [
+            Point::new(0.0, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(0.5e-6, 0.0),
+            Point::new(3.0, 4.0),
+        ];
+        let mut rng = Rng::seed_from_u64(0x1AF);
+        for snap in [1e-6, 0.0, 5.0, inf, nan, 1e200] {
+            for trial in 0..40 {
+                let mut pts: Vec<Point> = finite.to_vec();
+                for _ in 0..rng.random_range(1usize..12) {
+                    // Non-finite points, some of them stacked.
+                    pts.push(odd[rng.random_range(0..odd.len())]);
+                }
+                for i in (1..pts.len()).rev() {
+                    pts.swap(i, rng.random_range(0..i + 1));
+                }
+                assert_matches_oracle(
+                    &pts,
+                    snap,
+                    &format!("non-finite, snap {snap}, trial {trial}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kept_order_matches_a_fresh_sort_over_random_moves() {
+        let snap = t().snap;
+        let mut rng = Rng::seed_from_u64(0x0DE5);
+        for run in 0..20 {
+            let n = rng.random_range(1usize..80);
+            let mut scratch = CanonScratch::default();
+            let mut pos = assert_matches_oracle(&scatter(&mut rng, n, 4.0), snap, "start");
+            let mut order = Vec::new();
+            lex_order_into(&pos, &mut order, &mut scratch);
+            for step in 0..60 {
+                let mut moved = pos.clone();
+                for _ in 0..rng.random_range(0usize..4) {
+                    let i = rng.random_range(0..n);
+                    let j = rng.random_range(0..n);
+                    moved[i] = match rng.random_range(0usize..4) {
+                        // Onto another robot: stacks grow.
+                        0 => pos[j],
+                        // Next to one, inside the snap radius.
+                        1 => Point::new(pos[j].x + 0.5 * snap, pos[j].y - 0.3 * snap),
+                        // Off into the open: stacks split.
+                        2 => Point::new(rng.random_range(-4.0..4.0), rng.random_range(-4.0..4.0)),
+                        // Part way toward another robot.
+                        _ => pos[i].lerp(pos[j], rng.random_range(0.0..1.0)),
+                    };
+                }
+                let ctx = format!("run {run} step {step}");
+                pos = kept_order_apply(&pos, &moved, &mut order, snap, &mut scratch, &ctx);
+            }
+        }
+    }
+
+    /// The configurations of the incremental path's former
+    /// separation-invariant tests, through the kept-order protocol.
+    #[test]
+    fn kept_order_handles_stacks_satellites_and_chains() {
+        let snap = 1e-6;
+        let mut scratch = CanonScratch::default();
+        let mut order = Vec::new();
+        let mut apply = |prev: &[Point], moved: &[Point], ctx: &str| {
+            if order.len() != prev.len() {
+                lex_order_into(prev, &mut order, &mut scratch);
+            }
+            kept_order_apply(prev, moved, &mut order, snap, &mut scratch, ctx)
+        };
+        // A stack at the origin plus spread satellites.
+        let start = vec![
             Point::new(0.0, 0.0),
             Point::new(0.0, 0.0),
             Point::new(0.0, 0.0),
@@ -652,51 +1075,115 @@ mod tests {
             Point::new(-2.0, 4.0),
             Point::new(5.0, -5.0),
         ];
-        // No movement: empty dirty set must still reproduce the stacks.
-        assert_dirty_matches_full(&pts, &[], snap);
-        // One satellite moves near another (snaps into a fresh cluster).
+        let still = apply(&start, &start, "no movement");
+        assert_eq!(still, start);
+        // One satellite moves near another and snaps into a fresh cluster.
+        let mut pts = still.clone();
         pts[3] = Point::new(-2.0, 4.0 + 0.5e-6);
-        assert_dirty_matches_full(&pts, &[3], snap);
-        // A robot leaves the stack; the stack stays a clean bitwise group.
+        let snapped = apply(&still, &pts, "satellite joins satellite");
+        assert_eq!(Configuration::new(snapped.clone()).distinct().len(), 3);
+        // A robot leaves the stack.
+        let mut pts = snapped.clone();
         pts[2] = Point::new(1.0, 1.0);
-        assert_dirty_matches_full(&pts, &[2, 3], snap);
-        // A dirty robot lands bitwise on the stack.
+        let left = apply(&snapped, &pts, "robot leaves the stack");
+        // And lands bitwise back on it.
+        let mut pts = left.clone();
         pts[2] = Point::new(0.0, 0.0);
-        assert_dirty_matches_full(&pts, &[2, 3], snap);
-        // Chain through a dirty point: clean at 0 and 1.6e-6 (> snap apart),
-        // dirty lands between and merges all three transitively.
-        let chain = vec![
+        apply(&left, &pts, "robot lands on the stack");
+
+        // Chain through a mover: 0 and 1.6e-6 (> snap apart) merge once a
+        // point lands between them.
+        let chain_before = vec![
             Point::new(0.0, 0.0),
             Point::new(1.6e-6, 0.0),
-            Point::new(0.8e-6, 0.0),
+            Point::new(9.0, 9.0),
             Point::new(9.0, 9.0),
         ];
-        assert_dirty_matches_full(&chain, &[2], snap);
-        // All-dirty degenerates to the full pass.
-        assert_dirty_matches_full(&chain, &[0, 1, 2, 3], snap);
-    }
+        let mut chain = chain_before.clone();
+        chain[2] = Point::new(0.8e-6, 0.0);
+        let merged = apply(&chain_before, &chain, "chain through a mover");
+        assert_eq!(Configuration::new(merged).distinct().len(), 2);
+        // Every point moves at once.
+        let shifted: Vec<Point> = chain.iter().map(|p| Point::new(p.x + 1.0, p.y)).collect();
+        apply(&chain, &shifted, "all moved");
 
-    #[test]
-    fn snap_separated_detects_close_distinct_pairs() {
-        let snap = 1e-6;
-        let mut scratch = CanonScratch::default();
+        // Distinct values within snap merge, bitwise duplicates and
+        // separated values stay as they are, and the x window does not
+        // hide a close pair that shares its x.
         let sep = vec![
             Point::new(0.0, 0.0),
-            Point::new(0.0, 0.0), // bitwise duplicate: fine
+            Point::new(0.0, 0.0),
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        assert!(snap_separated(&sep, snap, &mut scratch));
+        assert_eq!(assert_matches_oracle(&sep, snap, "separated"), sep);
         let close = vec![
             Point::new(0.0, 0.0),
-            Point::new(0.5e-6, 0.0), // distinct value within snap
+            Point::new(0.5e-6, 0.0),
             Point::new(1.0, 0.0),
         ];
-        assert!(!snap_separated(&close, snap, &mut scratch));
-        // Same x, close y: caught despite the x-window early break.
+        let out = assert_matches_oracle(&close, snap, "close pair");
+        assert_eq!(Configuration::new(out).distinct().len(), 2);
         let close_y = vec![Point::new(2.0, 0.0), Point::new(2.0, 0.5e-6)];
-        assert!(!snap_separated(&close_y, snap, &mut scratch));
-        assert!(snap_separated(&[], snap, &mut scratch));
+        let out = assert_matches_oracle(&close_y, snap, "close pair sharing x");
+        assert_eq!(Configuration::new(out).distinct().len(), 1);
+        assert!(assert_matches_oracle(&[], snap, "empty").is_empty());
+    }
+
+    /// Runs `f` on a thread with the default 2 MiB stack.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("canonicalisation must not overflow a 2 MiB stack");
+    }
+
+    #[test]
+    fn find_walks_long_chains_iteratively() {
+        on_small_stack(|| {
+            let n = 1_000_000;
+            let mut parent: Vec<usize> = (1..=n).collect();
+            parent[n - 1] = n - 1;
+            assert_eq!(find(&mut parent, 0), n - 1);
+            // Path halving shortened the walk for the next lookup.
+            assert!(parent[0] > 1);
+        });
+    }
+
+    #[test]
+    fn million_robot_stack_canonicalises_on_a_small_stack() {
+        on_small_stack(|| {
+            let n = 1_000_000;
+            let p = Point::new(0.1, -2.5);
+            let stack = vec![p; n];
+            let snap = t().snap;
+            let mut scratch = CanonScratch::default();
+            let mut full = Vec::new();
+            canonicalize_into(&stack, snap, &mut scratch, &mut full);
+            // The centroid of n copies rounds off `p` (the sum carries
+            // error), but the stack stays one location near it.
+            assert!(full.iter().all(|q| bitwise_eq(*q, full[0])));
+            assert!(full[0].within(p, snap));
+
+            // The kept-order path: a robot steps off the stack and one
+            // lands next to it, merging it again.
+            let mut order = Vec::new();
+            lex_order_into(&full, &mut order, &mut scratch);
+            let mut moved = full.clone();
+            moved[17] = Point::new(4.0, 4.0);
+            moved[n - 1] = Point::new(full[0].x + 0.5 * snap, full[0].y);
+            let mut changed = Vec::new();
+            gather_geom::soa::diff_indices(&full, &moved, &mut changed);
+            lex_order_update(&moved, &changed, &mut order, &mut scratch);
+            let mut kept = Vec::new();
+            canonicalize_sorted_into(&moved, &order, snap, &mut scratch, &mut kept);
+            let mut fresh = Vec::new();
+            canonicalize_into(&moved, snap, &mut scratch, &mut fresh);
+            assert_same_bits(&kept, &fresh, "1M stack, kept order");
+            assert_eq!(Configuration::new(kept).distinct().len(), 2);
+        });
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub use classify::{
     classify, classify_hinted, classify_hinted_with_distinct, classify_invocations, Analysis, Class,
 };
 pub use configuration::{
-    canonicalize_dirty_into, canonicalize_into, snap_separated, CanonScratch, Configuration,
+    canonicalize_into, canonicalize_sorted_into, lex_order_into, lex_order_update, CanonScratch,
+    Configuration,
 };
 pub use quasi::{
     detect_quasi_regularity, detect_quasi_regularity_hinted, quasi_regular_with_center,

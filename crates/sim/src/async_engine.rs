@@ -345,7 +345,9 @@ impl AsyncEngineBuilder {
         let EngineParts {
             mut scratch,
             mut analysis_cache,
+            mut canon_order,
         } = self.recycled.unwrap_or_default();
+        canon_order.clear();
         // Identical reset-to-fresh contract as the round-based engine.
         analysis_cache.reset();
         analysis_cache.set_warm_start(self.warm_start);
@@ -399,7 +401,7 @@ impl AsyncEngineBuilder {
                 started_bivalent,
                 incremental: false,
                 pending_dirty: Vec::new(),
-                sep_ok: false,
+                canon_order,
                 analysis_cache,
             },
             timing: self.timing,
@@ -522,6 +524,7 @@ impl AsyncEngine {
         EngineParts {
             scratch: self.scratch,
             analysis_cache: self.core.analysis_cache,
+            canon_order: self.core.canon_order,
         }
     }
 

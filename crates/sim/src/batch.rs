@@ -193,6 +193,8 @@ pub struct BatchEngine {
     scratch: Scratch,
     /// Retired lanes' analysis caches, reset-recycled into new lanes.
     spare_caches: Vec<AnalysisCache>,
+    /// Retired lanes' kept canonical orders, recycled into new lanes.
+    spare_orders: Vec<Vec<usize>>,
     /// Retired lanes' traces, reset-recycled into new lanes.
     spare_traces: Vec<Trace>,
     /// Array-of-structs staging buffer: a lane's positions are gathered
@@ -230,6 +232,7 @@ impl BatchEngine {
             width,
             scratch: parts.scratch,
             spare_caches: vec![parts.analysis_cache],
+            spare_orders: vec![parts.canon_order],
             spare_traces: Vec::new(),
             aos: Vec::new(),
             xs: Vec::new(),
@@ -253,6 +256,7 @@ impl BatchEngine {
         EngineParts {
             scratch: self.scratch,
             analysis_cache: self.spare_caches.pop().unwrap_or_default(),
+            canon_order: self.spare_orders.pop().unwrap_or_default(),
         }
     }
 
@@ -332,6 +336,8 @@ impl BatchEngine {
         let mut cache = self.spare_caches.pop().unwrap_or_default();
         cache.reset();
         cache.set_warm_start(spec.warm_start);
+        let mut canon_order = self.spare_orders.pop().unwrap_or_default();
+        canon_order.clear();
         self.scratch.config.copy_from_slice(&positions);
         // The builder's bivalent pre-check: through the cache when the
         // shared pipeline is on (so round 0 hits the memo), by direct
@@ -387,7 +393,7 @@ impl BatchEngine {
                 started_bivalent,
                 incremental: spec.incremental,
                 pending_dirty: Vec::new(),
-                sep_ok: false,
+                canon_order,
                 analysis_cache: cache,
             },
             slot,
@@ -467,6 +473,7 @@ impl BatchEngine {
             let lane = self.lanes.swap_remove(i);
             self.spare_traces.push(lane.trace);
             self.spare_caches.push(lane.core.analysis_cache);
+            self.spare_orders.push(lane.core.canon_order);
             return Some((index, result));
         }
 

@@ -24,9 +24,10 @@ use crate::scheduler::{EveryRobot, Scheduler};
 use crate::snapshot::Snapshot;
 use crate::trace::{RoundRecord, Trace};
 use gather_config::{
-    canonicalize_into, classify, classify_invocations, AnalysisCache, CanonScratch, Class,
-    Configuration, RoundAnalysis,
+    canonicalize_into, canonicalize_sorted_into, classify, classify_invocations, lex_order_into,
+    lex_order_update, AnalysisCache, CanonScratch, Class, Configuration, RoundAnalysis,
 };
+use gather_geom::soa::diff_indices;
 use gather_geom::{weiszfeld_iterations, weiszfeld_nanos, Point, Tol};
 use gather_obs::{EngineObs, Phase, PhaseNanos, PhaseTimer};
 
@@ -46,7 +47,7 @@ pub(crate) struct Scratch {
     pub(crate) new_positions: Vec<Point>,
     /// Canonicalised end-of-round positions (swapped into `positions`).
     pub(crate) canon_out: Vec<Point>,
-    /// Union-find arrays for canonicalisation.
+    /// Working arrays for canonicalisation.
     pub(crate) canon: CanonScratch,
     /// Robots activated this round.
     pub(crate) activated: Vec<usize>,
@@ -58,18 +59,18 @@ pub(crate) struct Scratch {
     pub(crate) distinct: Vec<(Point, usize)>,
     /// Sorting scratch for `distinct_into`.
     pub(crate) sort: Vec<Point>,
-    /// Indices whose pending position differs bitwise from the previous
-    /// canonical one (the incremental path's per-round dirty set).
+    /// The incremental path's indices that canonicalisation changed
+    /// (canonical output against the pending positions).
     pub(crate) dirty: Vec<usize>,
 }
 
 /// The reusable heap-backed innards of a retired [`Engine`]: the round-loop
-/// scratch buffers and the analysis cache. Extracted with
-/// [`Engine::into_parts`] and fed to [`EngineBuilder::recycle`], so a worker
-/// that runs many simulations back to back (a sweep) keeps one warm set of
-/// buffers instead of re-growing them per run — the steady-state
-/// zero-allocation property then holds across sweep-item boundaries, not
-/// just within one run.
+/// scratch buffers, the analysis cache and the kept canonical order.
+/// Extracted with [`Engine::into_parts`] and fed to
+/// [`EngineBuilder::recycle`], so a worker that runs many simulations back
+/// to back (a sweep) keeps one warm set of buffers instead of re-growing
+/// them per run — the steady-state zero-allocation property then holds
+/// across sweep-item boundaries, not just within one run.
 ///
 /// Recycling is observationally invisible: `build` resets the analysis
 /// cache (memo, warm-start iterate, counters) and every scratch buffer is
@@ -79,6 +80,7 @@ pub(crate) struct Scratch {
 pub struct EngineParts {
     pub(crate) scratch: Scratch,
     pub(crate) analysis_cache: AnalysisCache,
+    pub(crate) canon_order: Vec<usize>,
 }
 
 /// The reusable stepping core: one scenario's adversaries, algorithm and
@@ -118,11 +120,11 @@ pub(crate) struct StepCore {
     /// which the memo equals the analysed configuration again, so an empty
     /// pending set means "nothing moved since the memo".
     pub(crate) pending_dirty: Vec<usize>,
-    /// Whether the current canonical positions are pairwise snap-separated
-    /// (distinct values > `tol.snap` apart). Licenses the O(dirty·n)
-    /// canonicalisation: clean points then cannot merge with each other.
-    /// Starts `false` (unverified), re-established after every apply.
-    pub(crate) sep_ok: bool,
+    /// The incremental path's kept lexicographic order of the current
+    /// canonical positions (`gather_config::lex_order_into`), repaired
+    /// for the changed indices on every apply instead of re-sorted. Empty
+    /// until the first apply builds it.
+    pub(crate) canon_order: Vec<usize>,
     pub(crate) analysis_cache: AnalysisCache,
 }
 
@@ -288,18 +290,19 @@ impl StepCore {
     /// own position storage). `prev` is the start-of-round canonical
     /// position vector the pending positions were derived from.
     ///
-    /// The incremental path diffs `prev` against the pending positions to
-    /// find the robots that actually moved, canonicalises in
-    /// O(dirty · n) when the previous round's output was snap-separated
-    /// (clean points then cannot merge with each other — see
-    /// `canonicalize_dirty_into`), and records the post-canonicalisation
-    /// diff as the analysis cache's pending dirty set for the next
-    /// `analyse_dirty` call.
+    /// The incremental path keeps the lexicographic order of the canonical
+    /// positions across rounds: it repairs the order for the robots that
+    /// moved (the bitwise diff of `prev` against the pending positions),
+    /// canonicalises through it, repairs it again for the robots
+    /// canonicalisation moved, and records the diff of `prev` against the
+    /// canonical output as the analysis cache's pending dirty set for the
+    /// next `analyse_dirty` call.
     pub(crate) fn stage_apply(&mut self, prev: &[Point], scratch: &mut Scratch) {
+        let snap = self.tol.snap;
         if !self.incremental {
             canonicalize_into(
                 &scratch.new_positions,
-                self.tol.snap,
+                snap,
                 &mut scratch.canon,
                 &mut scratch.canon_out,
             );
@@ -309,26 +312,29 @@ impl StepCore {
         // previous round's pending set earlier this round; overwriting an
         // unconsumed one would desynchronise the cache memo.
         debug_assert!(!self.shared_analysis || self.pending_dirty.is_empty());
-        gather_geom::soa::diff_indices(prev, &scratch.new_positions, &mut scratch.dirty);
-        if self.sep_ok {
-            gather_config::canonicalize_dirty_into(
-                &scratch.new_positions,
-                self.tol.snap,
-                &scratch.dirty,
-                &mut scratch.canon,
-                &mut scratch.canon_out,
-            );
+        let Scratch {
+            new_positions,
+            canon_out,
+            canon,
+            dirty,
+            ..
+        } = scratch;
+        let order = &mut self.canon_order;
+        let pending = &mut self.pending_dirty;
+        diff_indices(prev, new_positions, pending);
+        if order.len() == prev.len() {
+            lex_order_update(new_positions, pending, order, canon);
         } else {
-            canonicalize_into(
-                &scratch.new_positions,
-                self.tol.snap,
-                &mut scratch.canon,
-                &mut scratch.canon_out,
-            );
+            lex_order_into(new_positions, order, canon);
         }
-        self.sep_ok =
-            gather_config::snap_separated(&scratch.canon_out, self.tol.snap, &mut scratch.canon);
-        gather_geom::soa::diff_indices(prev, &scratch.canon_out, &mut self.pending_dirty);
+        canonicalize_sorted_into(new_positions, order, snap, canon, canon_out);
+        diff_indices(new_positions, canon_out, dirty);
+        // Unless canonicalisation moved someone, the output is the pending
+        // positions and `pending` already holds its diff against `prev`.
+        if !dirty.is_empty() {
+            lex_order_update(canon_out, dirty, order, canon);
+            diff_indices(prev, canon_out, pending);
+        }
     }
 
     /// Invariant-audit stage over the completed round: wait-freeness on the
@@ -758,7 +764,9 @@ impl EngineBuilder {
         let EngineParts {
             mut scratch,
             mut analysis_cache,
+            mut canon_order,
         } = self.recycled.unwrap_or_default();
+        canon_order.clear();
         // A recycled cache must behave exactly like a fresh one (stale memos
         // or warm-start hints would leak one run's state into the next);
         // reset keeps only the heap capacity.
@@ -807,7 +815,7 @@ impl EngineBuilder {
                 started_bivalent,
                 incremental: self.incremental,
                 pending_dirty: Vec::new(),
-                sep_ok: false,
+                canon_order,
                 analysis_cache,
             },
             look_delay: self.look_delay,
@@ -902,6 +910,7 @@ impl Engine {
         EngineParts {
             scratch: self.scratch,
             analysis_cache: self.core.analysis_cache,
+            canon_order: self.core.canon_order,
         }
     }
 

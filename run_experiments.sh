@@ -9,8 +9,16 @@
 # to N runner binaries concurrently (they write disjoint results/ files and
 # each scales its own worker pool via GATHER_THREADS, so parallel waves are
 # safe; default is sequential, which is what a 1-core box wants).
+#
+# `--bench-only BASE [PAIRS] [WORKLOAD...]` instead runs only the repo
+# benchmark, on the working tree and on commit BASE, in alternating pairs
+# on this host (scripts/bench_pairs.sh), and skips the gate and tables.
 set -e
 cd "$(dirname "$0")"
+if [ "$1" = "--bench-only" ]; then
+  shift
+  exec sh scripts/bench_pairs.sh "$@"
+fi
 if [ -z "$NO_CHECK" ]; then
   sh scripts/check.sh
 fi
