@@ -6,7 +6,7 @@
 //! assembly, the cold admission classification, trace bookkeeping, pool
 //! dispatch — dominates over per-round simulation work. The
 //! [`gather_bench::sweep`] path amortises all of it: chunks of consecutive
-//! scenarios advance in lockstep inside one [`BatchEngine`] per worker,
+//! scenarios advance in lockstep inside one [`BatchEngine`](gather_sim::batch::BatchEngine) per worker,
 //! recycling lane slabs on retirement and deduplicating the admission
 //! analysis across grid cells that share an initial configuration.
 //!

@@ -12,7 +12,7 @@
 //! * **schema** — one traced run per configuration class; every NDJSON
 //!   line's top-level keys must match the pinned [`TRACE_SCHEMA`] order
 //!   (the same contract `crates/sim/tests/trace_schema.rs` pins in-tree
-//!   and `GET /v1/trace` serves over the wire).
+//!   and `POST /v1/trace` serves over the wire).
 //! * **determinism** — absent, disabled and enabled runs must produce
 //!   bit-identical [`RunMetrics`] once the timing columns are stripped.
 //!

@@ -31,10 +31,10 @@ pub mod table;
 ///
 /// When the feature is enabled this module installs a counting wrapper
 /// around the system allocator for the whole process, and
-/// [`heap_allocations`] reports the running total — the B1 runner diffs it
+/// [`heap_allocations`](alloc_audit::heap_allocations) reports the running total — the B1 runner diffs it
 /// around the round loop to prove the scratch-buffer engine's steady state
 /// allocates nothing. Without the feature nothing is installed and
-/// [`heap_allocations`] returns `None`, so the audit columns degrade to
+/// [`heap_allocations`](alloc_audit::heap_allocations) returns `None`, so the audit columns degrade to
 /// `n/a` instead of lying.
 pub mod alloc_audit {
     #[cfg(feature = "alloc-audit")]

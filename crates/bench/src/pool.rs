@@ -3,7 +3,7 @@
 //! [`super::runner::parallel_map`] used to spawn a fresh set of scoped
 //! threads per call, which meant every sweep paid thread start-up costs and
 //! — more importantly for the zero-allocation story — every worker started
-//! with cold [`gather_sim::EngineParts`]. The pool here is created once
+//! with cold [`gather_sim::prelude::EngineParts`]. The pool here is created once
 //! (per process via [`global`], or explicitly via [`WorkerPool::new`] for
 //! benchmarks that compare thread counts) and its workers live for the
 //! pool's lifetime, so thread-local engine scratch survives across batch

@@ -127,7 +127,7 @@ impl Scenario {
 
     /// Runs the scenario with an *unbounded* trace and returns the metrics
     /// plus the full per-round NDJSON stream ([`Trace::to_jsonl`]). This is
-    /// the in-process twin of the service's `GET /v1/trace` endpoint: the
+    /// the in-process twin of the service's `POST /v1/trace` endpoint: the
     /// returned string is byte-identical to the streamed response body.
     pub fn run_traced(&self) -> (RunMetrics, String) {
         if self.is_async() {

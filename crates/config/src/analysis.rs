@@ -3,7 +3,7 @@
 //! In the ATOM/SSYNC model every robot activated in a round LOOKs at the
 //! *same* start-of-round configuration, and the classification of Section IV
 //! (class, Weber target, symmetry) is a pure function of that configuration.
-//! Running [`classify`] once per robot — as a naive reading of the per-robot
+//! Running [`classify`](crate::classify::classify) once per robot — as a naive reading of the per-robot
 //! COMPUTE phase suggests — therefore recomputes an identical result `n`
 //! times per round, with the Weiszfeld iteration inside quasi-regularity
 //! detection dominating the bill.
@@ -52,7 +52,7 @@ pub struct RoundAnalysis {
 }
 
 impl RoundAnalysis {
-    /// Analyses `config` from scratch (one [`classify`] call plus the
+    /// Analyses `config` from scratch (one [`classify`](crate::classify::classify) call plus the
     /// symmetry policy below).
     ///
     /// `sym(C)` is *derived* from the classification wherever the

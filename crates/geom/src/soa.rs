@@ -13,7 +13,7 @@
 //! LLVM can vectorise them without any re-association licence (the lane
 //! sums are combined in a fixed order, keeping results deterministic across
 //! runs and thread counts). The scalar array-of-structs references the
-//! kernels replace live in [`reference`]; the seeded property tests and the
+//! kernels replace live in [`reference`](mod@reference); the seeded property tests and the
 //! `b7_scaling` ablation hold the two within 1e-12 of each other.
 //!
 //! Kernels use `sqrt(dx² + dy²)` where the scalar paths used `hypot`:

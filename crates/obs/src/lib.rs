@@ -17,7 +17,7 @@
 //!   formatting and heap traffic.
 //!
 //! [`EngineObs`] bundles a sink plus running phase totals into the
-//! handle `gather_sim::EngineBuilder::observe` accepts. The `enabled`
+//! handle `gather_sim::engine::EngineBuilder::observe` accepts. The `enabled`
 //! flag is runtime data, not a cargo feature, so a single binary can
 //! measure all three states — instrumentation absent, attached-but-
 //! disabled, and enabled — which is exactly what the `b9_obs` bench's

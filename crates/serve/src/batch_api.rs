@@ -11,7 +11,7 @@
 //!
 //! Everything else — spec validation, canonical cache keys, JSONL
 //! response stitching in request order, `x-gather-cache` headers — is
-//! shared with `/v1/run` (same admission path, same [`Work::Run`]
+//! shared with `/v1/run` (same admission path, same `Work::Run`
 //! execution), so the response for a given scenario list is
 //! byte-identical across both endpoints and across engines. That holds
 //! because `run_batched_on` is bit-identical to sequential `run()` by
@@ -19,7 +19,6 @@
 //! re-checks at this boundary.
 //!
 //! [`ServeConfig::max_mega_batch`]: crate::server::ServeConfig::max_mega_batch
-//! [`Work::Run`]: crate::server::Work::Run
 
 use crate::http::Request;
 use crate::server::{run_route, Inner, Replier, Routed};
@@ -35,7 +34,7 @@ pub const BATCH_WIDTH: usize = 16;
 /// Routes `POST /v1/batch`: identical admission to `/v1/run` except for
 /// the larger batch cap and the columnar execution flag.
 pub(crate) fn batch_route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
-    run_route(inner, request, replier, false, true)
+    run_route(inner, request, replier, true)
 }
 
 /// Executes a mega-batch's cache misses on the worker pool's columnar
@@ -56,11 +55,15 @@ mod tests {
     fn lane_executor_matches_sequential_runs() {
         let scenarios: Vec<Scenario> = (0..5)
             .map(|i| {
-                let spec = ScenarioSpec::from_query(&format!(
-                    "workload=scatter&n=9&seed={}&faults=1&max_rounds=300",
-                    40 + i
-                ))
-                .expect("valid spec");
+                let spec = ScenarioSpec {
+                    workload: "scatter".to_string(),
+                    class: None,
+                    n: 9,
+                    seed: 40 + i,
+                    faults: 1,
+                    max_rounds: 300,
+                    ..ScenarioSpec::default()
+                };
                 spec.to_scenario().expect("valid scenario")
             })
             .collect();

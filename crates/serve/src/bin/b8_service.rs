@@ -87,7 +87,7 @@ fn bit_identity(addr: &str) -> Vec<String> {
             "{}\n",
             spec.to_scenario().expect("spec maps").run().to_jsonl()
         );
-        let served = client.post_run(&spec.to_json()).expect("POST /run");
+        let served = client.post_run(&spec.to_json()).expect("POST /v1/run");
         if served.status != 200 {
             failures.push(format!(
                 "class {}: status {} ({})",
@@ -335,7 +335,7 @@ fn smoke() {
         ..ScenarioSpec::default()
     };
     let expected = format!("{}\n", spec.to_scenario().expect("spec").run().to_jsonl());
-    let run = client.post_run(&spec.to_json()).expect("POST /run");
+    let run = client.post_run(&spec.to_json()).expect("POST /v1/run");
     assert_eq!(run.status, 200, "run: {}", run.text());
     assert_eq!(
         run.body,
@@ -344,31 +344,18 @@ fn smoke() {
     );
 
     // The streamed document must be the spec's trace/v2 header plus the
-    // in-process trace, byte for byte — via both wire forms.
+    // in-process trace, byte for byte.
     let traced = format!(
         "{}{}",
         spec.trace_header(),
         spec.to_scenario().expect("spec").run_traced().1
     );
-    let trace = client
-        .get_trace("seed=3&max_rounds=2000")
-        .expect("GET /v1/trace");
+    let trace = client.post_trace(&spec.to_json()).expect("POST /v1/trace");
     assert_eq!(trace.status, 200, "trace: {}", trace.text());
     assert_eq!(
         trace.body,
         traced.as_bytes(),
         "streamed trace must match the in-process trace"
-    );
-    assert_eq!(
-        trace.header("deprecation"),
-        Some("true"),
-        "query-param traces are deprecated"
-    );
-    let posted = client.post_trace(&spec.to_json()).expect("POST /v1/trace");
-    assert_eq!(posted.status, 200, "trace: {}", posted.text());
-    assert_eq!(
-        posted.body, trace.body,
-        "POST /v1/trace must serve the same bytes as the deprecated GET"
     );
 
     // A two-scenario mega-batch exercises the worker pool and the
@@ -407,18 +394,16 @@ fn smoke() {
     );
 
     // The scrape must reflect the requests on the same keep-alive
-    // connection: run + GET trace + batch admitted (the batch's seed-3
-    // scenario is served from cache inside the batch, which still
-    // admits because seed 4 is a miss; the POST trace is an all-hit
-    // answered at admission, so it completes without being accepted),
-    // 4 completed, 3 scenarios executed in total (run + trace + the
-    // batch's one miss).
+    // connection: run + trace + batch admitted and completed (the
+    // batch's seed-3 scenario is served from cache inside the batch,
+    // which still admits because seed 4 is a miss), 3 scenarios
+    // executed in total (run + trace + the batch's one miss).
     let metrics = client.get("/v1/metrics").expect("GET /v1/metrics");
     assert_eq!(metrics.status, 200);
     let text = metrics.text();
     for needle in [
         "gather_requests_accepted_total 3\n",
-        "gather_requests_completed_total 4\n",
+        "gather_requests_completed_total 3\n",
         "gather_requests_rejected_malformed_total 1\n",
         "gather_scenarios_run_total 3\n",
         "gather_queue_capacity 4\n",

@@ -76,7 +76,7 @@ fn main() {
         server.engine()
     );
     println!(
-        "routes: POST /v1/run, POST /v1/batch, GET /v1/trace, GET /v1/metrics, GET /v1/healthz"
+        "routes: POST /v1/run, POST /v1/batch, POST /v1/trace, GET /v1/metrics, GET /v1/healthz"
     );
     println!("close stdin (Ctrl-D) to drain and shut down");
 

@@ -29,7 +29,7 @@
 //!
 //! ## Structure
 //!
-//! Lock-striped: [`SHARDS`] independent `Mutex<HashMap>` shards selected
+//! Lock-striped: `SHARDS` independent `Mutex<HashMap>` shards selected
 //! by key bits, so concurrent event-loop shards and dispatcher lanes
 //! rarely contend on the same stripe. Each shard runs its own LRU by
 //! monotonic touch tick; eviction scans the shard for the stalest entry —

@@ -106,31 +106,13 @@ impl Client {
     /// Convenience: `POST /v1/trace` with a JSON `ScenarioSpec` body (the
     /// same body shape as `/v1/run`). The chunked trace/v2 document —
     /// header line plus NDJSON round lines — arrives fully decoded in
-    /// [`ClientResponse::body`], byte-identical to the deprecated
-    /// [`get_trace`](Client::get_trace) form of the same spec.
+    /// [`ClientResponse::body`].
     ///
     /// # Errors
     ///
     /// Same as [`request`](Client::request).
     pub fn post_trace(&mut self, json_body: &str) -> io::Result<ClientResponse> {
         self.request("POST", "/v1/trace", json_body.as_bytes())
-    }
-
-    /// Convenience: `GET /v1/trace` with query-string spec parameters
-    /// (e.g. `n=8&seed=1`) — the *deprecated* trace encoding (responses
-    /// carry a `Deprecation` header; prefer
-    /// [`post_trace`](Client::post_trace)). The chunked response arrives
-    /// fully decoded in [`ClientResponse::body`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`request`](Client::request).
-    pub fn get_trace(&mut self, query: &str) -> io::Result<ClientResponse> {
-        if query.is_empty() {
-            self.request("GET", "/v1/trace", b"")
-        } else {
-            self.request("GET", &format!("/v1/trace?{query}"), b"")
-        }
     }
 
     fn read_line(&mut self) -> io::Result<String> {

@@ -56,10 +56,8 @@ impl From<io::Error> for HttpError {
 pub struct Request {
     /// Uppercase method, e.g. `GET`.
     pub method: String,
-    /// Path without the query string.
+    /// Path without the query string (routing ignores `?…`).
     pub path: String,
-    /// Raw query string after `?` (empty when absent).
-    pub query: String,
     /// Headers in arrival order, names lowercased.
     pub headers: Vec<(String, String)>,
     /// The body (empty without `Content-Length`).
@@ -130,10 +128,10 @@ fn build_head(lines: &[String]) -> Result<Request, HttpError> {
             "unsupported request line {request_line:?}"
         )));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
+    let path = target
+        .split_once('?')
+        .map_or(target, |(p, _)| p)
+        .to_string();
 
     let mut headers = Vec::new();
     for line in &lines[1..] {
@@ -149,7 +147,6 @@ fn build_head(lines: &[String]) -> Result<Request, HttpError> {
     let mut request = Request {
         method,
         path,
-        query,
         headers,
         body: Vec::new(),
         keep_alive: version == "HTTP/1.1",
@@ -373,8 +370,6 @@ pub struct Response {
     pub body: Body,
     /// Emit `Retry-After: N` (the 429 backpressure hint).
     pub retry_after: Option<u64>,
-    /// Emit `Deprecation: true` (answering on a pre-`/v1` legacy alias).
-    pub deprecation: bool,
     /// Emit `x-gather-cache: hit|miss` (result-cache disposition of a
     /// simulation endpoint; `None` for everything else).
     pub cache: Option<&'static str>,
@@ -396,7 +391,6 @@ impl Response {
             content_type,
             body: body.into(),
             retry_after: None,
-            deprecation: false,
             cache: None,
             age: None,
             chunked: false,
@@ -462,9 +456,6 @@ impl Response {
         if let Some(secs) = self.retry_after {
             let _ = write!(head, "retry-after: {secs}\r\n");
         }
-        if self.deprecation {
-            let _ = write!(head, "deprecation: true\r\n");
-        }
         if let Some(disposition) = self.cache {
             let _ = write!(head, "x-gather-cache: {disposition}\r\n");
         }
@@ -515,12 +506,11 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse(b"POST /run?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody")
+        let req = parse(b"POST /v1/run?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody")
             .unwrap()
             .unwrap();
         assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/run");
-        assert_eq!(req.query, "x=1");
+        assert_eq!(req.path, "/v1/run", "the query string is stripped");
         assert_eq!(req.header("host"), Some("h"));
         assert_eq!(req.body, b"body");
         assert!(req.keep_alive);
@@ -710,12 +700,10 @@ mod tests {
         let payload = vec![b'x'; CHUNK_SIZE + 5];
         let mut resp = Response::new(200, "application/x-ndjson", payload.clone());
         resp.chunked = true;
-        resp.deprecation = true;
         let mut out = Vec::new();
         resp.write_to(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("transfer-encoding: chunked\r\n"));
-        assert!(text.contains("deprecation: true\r\n"));
         assert!(!text.contains("content-length"));
         // One full 16 KiB chunk, one 5-byte chunk, then the terminator.
         let body = text.split_once("\r\n\r\n").unwrap().1;

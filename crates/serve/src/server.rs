@@ -41,7 +41,7 @@
 //! scenarios run in-process — regardless of worker count, engine,
 //! caching, or server uptime.
 //!
-//! [`EngineParts`]: gather_sim::EngineParts
+//! [`EngineParts`]: gather_sim::prelude::EngineParts
 //! [`RunMetrics::to_jsonl`]: gather_sim::metrics::RunMetrics::to_jsonl
 
 use crate::cache::{self, KeyKind, ResultCache};
@@ -157,10 +157,9 @@ pub(crate) enum Work {
     /// cache hits and fresh runs in request order. `batch` routes the
     /// misses through the columnar `BatchEngine` lanes (`/v1/batch`).
     Run { slots: Vec<RunSlot>, batch: bool },
-    /// `/v1/trace` (JSON `POST`, or the deprecated query-param `GET`):
-    /// one scenario, answered with a trace/v2 document — the spec's
-    /// header line followed by its full per-round NDJSON trace — cached
-    /// whole under `key`.
+    /// `POST /v1/trace`: one scenario, answered with a trace/v2 document
+    /// — the spec's header line followed by its full per-round NDJSON
+    /// trace — cached whole under `key`.
     Trace {
         key: u64,
         scenario: Box<Scenario>,
@@ -211,7 +210,6 @@ impl Replier {
 /// Response context carried from admission to reply delivery.
 pub(crate) struct Pending {
     pub(crate) chunked: bool,
-    pub(crate) deprecation: bool,
     /// `x-gather-cache` value for the completed response (`None` when
     /// the cache is disabled).
     pub(crate) cache_tag: Option<&'static str>,
@@ -739,7 +737,7 @@ fn connection_loop(inner: &Inner, stream: TcpStream) -> io::Result<()> {
 /// Builds the final response for a delivered [`Reply`] (shared by both
 /// engines so they frame identically).
 pub(crate) fn reply_to_response(inner: &Inner, pending: &Pending, reply: Reply) -> Response {
-    let mut response = match reply {
+    match reply {
         Reply::Done(body) => {
             inner.metrics.record_latency(pending.started.elapsed());
             let mut response = Response::new(200, "application/x-ndjson", body);
@@ -757,20 +755,13 @@ pub(crate) fn reply_to_response(inner: &Inner, pending: &Pending, reply: Reply) 
             "execution_panicked",
             &format!("scenario execution panicked: {msg}"),
         ),
-    };
-    response.deprecation = pending.deprecation;
-    response
+    }
 }
 
 pub(crate) fn route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
-    // `/v1/...` is the versioned surface; the un-prefixed paths predate it
-    // and remain as aliases that answer with a `Deprecation` header.
-    // `/v1/trace` and `/v1/batch` are /v1-native with no legacy alias.
-    let (path, legacy) = match request.path.strip_prefix("/v1") {
-        Some(rest) => (rest, false),
-        None => (request.path.as_str(), true),
-    };
-    let mut routed = match (request.method.as_str(), path) {
+    // Every endpoint lives under `/v1`; anything else is a 404.
+    let path = request.path.strip_prefix("/v1").unwrap_or("");
+    match (request.method.as_str(), path) {
         ("GET", "/healthz") => Routed::Now(Response::new(200, "text/plain", "ok\n")),
         ("GET", "/metrics") => {
             let counters = inner.cache.counters();
@@ -786,16 +777,15 @@ pub(crate) fn route(inner: &Inner, request: &Request, replier: Replier) -> Route
                 ),
             ))
         }
-        ("POST", "/run") => run_route(inner, request, replier, legacy, false),
-        ("POST", "/batch") if !legacy => crate::batch_api::batch_route(inner, request, replier),
-        ("GET" | "POST", "/trace") if !legacy => trace_route(inner, request, replier),
-        (_, "/trace") if !legacy => Routed::Now(Response::error(
+        ("POST", "/run") => run_route(inner, request, replier, false),
+        ("POST", "/batch") => crate::batch_api::batch_route(inner, request, replier),
+        ("POST", "/trace") => trace_route(inner, request, replier),
+        (_, "/trace") => Routed::Now(Response::error(
             405,
             "method_not_allowed",
-            "method not allowed (traces come from POST /v1/trace; the \
-             query-param GET form is deprecated)",
+            "method not allowed (traces come from POST /v1/trace)",
         )),
-        (_, "/batch") if !legacy => Routed::Now(Response::error(
+        (_, "/batch") => Routed::Now(Response::error(
             405,
             "method_not_allowed",
             "method not allowed (scenario batches go to POST /v1/batch)",
@@ -811,26 +801,13 @@ pub(crate) fn route(inner: &Inner, request: &Request, replier: Replier) -> Route
             "unknown path; try POST /v1/run, POST /v1/batch, POST /v1/trace, \
              GET /v1/metrics, GET /v1/healthz",
         )),
-    };
-    if legacy && matches!(path, "/run" | "/metrics" | "/healthz") {
-        if let Routed::Now(response) = &mut routed {
-            response.deprecation = true;
-        }
-        // Queued requests carry the flag in their Pending context.
     }
-    routed
 }
 
 /// Shared `POST /v1/run` / `POST /v1/batch` admission: parse, validate,
 /// resolve each spec against the result cache, answer all-hit requests
 /// immediately, queue the rest.
-pub(crate) fn run_route(
-    inner: &Inner,
-    request: &Request,
-    replier: Replier,
-    legacy: bool,
-    batch: bool,
-) -> Routed {
+pub(crate) fn run_route(inner: &Inner, request: &Request, replier: Replier, batch: bool) -> Routed {
     let started = Instant::now();
     if inner.is_shutting_down() {
         inner
@@ -907,7 +884,6 @@ pub(crate) fn run_route(
         deadline_ms,
         Pending {
             chunked: false,
-            deprecation: legacy,
             cache_tag: (!inner.cache.disabled()).then_some("miss"),
             started,
         },
@@ -931,12 +907,8 @@ fn stitch_hits(mut slots: Vec<RunSlot>) -> Body {
     Body::Owned(body)
 }
 
-/// Shared `/v1/trace` admission for both wire forms. `POST` carries the
-/// same JSON `ScenarioSpec` body as `/v1/run` (one `from_json`
-/// validator); the query-param `GET` encoding predates it and is
-/// deprecated — it routes through this same handler (and the same cache
-/// key, so the two forms are byte-identical by construction) but every
-/// answer carries a `Deprecation` header.
+/// `POST /v1/trace` admission: the body is the same JSON `ScenarioSpec`
+/// as `/v1/run`'s (one `from_json` validator).
 fn trace_route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
     let started = Instant::now();
     if inner.is_shutting_down() {
@@ -957,16 +929,11 @@ fn trace_route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
             .fetch_add(1, Ordering::Relaxed);
         Routed::Now(Response::error(400, "bad_spec", msg))
     };
-    let deprecated = request.method == "GET";
-    let parsed = if deprecated {
-        ScenarioSpec::from_query(&request.query)
-    } else {
-        match std::str::from_utf8(&request.body) {
-            Ok(body) => crate::json::Json::parse(body)
-                .map_err(|e| format!("invalid JSON: {e}"))
-                .and_then(|v| ScenarioSpec::from_json(&v)),
-            Err(_) => Err("body is not UTF-8".to_string()),
-        }
+    let parsed = match std::str::from_utf8(&request.body) {
+        Ok(body) => crate::json::Json::parse(body)
+            .map_err(|e| format!("invalid JSON: {e}"))
+            .and_then(|v| ScenarioSpec::from_json(&v)),
+        Err(_) => Err("body is not UTF-8".to_string()),
     };
     let spec = match parsed {
         Ok(spec) => spec,
@@ -988,7 +955,6 @@ fn trace_route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
         response.chunked = true;
         response.cache = Some("hit");
         response.age = Some(hit.age_secs);
-        response.deprecation = deprecated;
         return Routed::Now(response);
     }
     let scenario = match spec.to_scenario() {
@@ -1007,7 +973,6 @@ fn trace_route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
         inner.config.default_deadline_ms,
         Pending {
             chunked: true,
-            deprecation: deprecated,
             cache_tag: (!inner.cache.disabled()).then_some("miss"),
             started,
         },
@@ -1036,7 +1001,6 @@ fn admit(
             inner.metrics.rejected_full.fetch_add(1, Ordering::Relaxed);
             let mut response = Response::error(429, "queue_full", "admission queue is full");
             response.retry_after = Some(1);
-            response.deprecation = pending.deprecation;
             Routed::Now(response)
         }
         Err(Rejected::Closed(_)) => {

@@ -253,56 +253,6 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Parses a spec from URL query parameters (`n=12&class=QR&seed=3`) —
-    /// the `GET /v1/trace` form of a spec. The query is rewritten as a
-    /// JSON object and fed through [`ScenarioSpec::from_json`], so both
-    /// wire forms share one validator; an empty query yields the defaults.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed pair or violated spec constraint.
-    pub fn from_query(query: &str) -> Result<ScenarioSpec, String> {
-        const STRING_FIELDS: [&str; 6] = [
-            "workload",
-            "class",
-            "algorithm",
-            "scheduler",
-            "motion",
-            "rigidity",
-        ];
-        use std::fmt::Write;
-        let mut body = String::from("{");
-        for pair in query.split('&').filter(|p| !p.is_empty()) {
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("query parameter {pair:?} is not key=value"))?;
-            if !SPEC_FIELDS.contains(&key) {
-                return Err(format!(
-                    "unknown spec field {key:?}; known: {}",
-                    SPEC_FIELDS.join(", ")
-                ));
-            }
-            if body.len() > 1 {
-                body.push(',');
-            }
-            if STRING_FIELDS.contains(&key) {
-                write!(
-                    body,
-                    "\"{}\":\"{}\"",
-                    crate::json::escape(key),
-                    crate::json::escape(value)
-                )
-                .expect("write to String");
-            } else {
-                // Numeric fields go in raw; garbage fails JSON parsing.
-                write!(body, "\"{}\":{value}", crate::json::escape(key)).expect("write to String");
-            }
-        }
-        body.push('}');
-        let v = Json::parse(&body).map_err(|e| format!("invalid query value: {e}"))?;
-        ScenarioSpec::from_json(&v)
-    }
-
     /// Materialises the spec into a runnable [`Scenario`] (generating the
     /// initial configuration from the workload family).
     ///
@@ -370,9 +320,8 @@ impl ScenarioSpec {
     /// The trace/v2 document header line for this spec's traced run
     /// (newline included, so the v1 round lines concatenate directly):
     /// the pinned schema tag, the canonical spec JSON, the seed and the
-    /// producing engine. Both `/v1/trace` wire forms (JSON `POST` and the
-    /// deprecated query-param `GET`) emit exactly this header, which is
-    /// what lets a captured corpus name the execution it came from.
+    /// producing engine. `POST /v1/trace` emits exactly this header, which
+    /// is what lets a captured corpus name the execution it came from.
     pub fn trace_header(&self) -> String {
         let engine = if self.scheduler == "async" {
             "async"
@@ -563,15 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn async_query_specs_work_too() {
-        let spec =
-            ScenarioSpec::from_query("scheduler=async&rigidity=non-rigid&speed_skew=2").unwrap();
-        assert_eq!(spec.scheduler, "async");
-        assert!(!spec.rigid);
-        assert_eq!(spec.speed_skew, 2.0);
-    }
-
-    #[test]
     fn async_knobs_without_async_scheduler_are_rejected() {
         for (body, needle) in [
             (
@@ -633,33 +573,6 @@ mod tests {
                 ),
                 Ok(()) => panic!("{body} should be rejected"),
             }
-        }
-    }
-
-    #[test]
-    fn query_specs_share_the_json_validator() {
-        let spec =
-            ScenarioSpec::from_query("workload=class&class=QR&n=12&seed=9&delta=0.1").unwrap();
-        assert_eq!(spec.class, Some(Class::QuasiRegular));
-        assert_eq!(spec.n, 12);
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.delta, 0.1);
-        assert_eq!(
-            ScenarioSpec::from_query("").unwrap(),
-            ScenarioSpec::default()
-        );
-        for (query, needle) in [
-            ("n", "key=value"),
-            ("n=three", "invalid query value"),
-            ("classs=QR", "unknown spec field"),
-            ("n=3", "must be in 4"),
-            ("class=Z", "unknown class"),
-        ] {
-            let err = ScenarioSpec::from_query(query).unwrap_err();
-            assert!(
-                err.contains(needle),
-                "{query}: {err:?} should mention {needle:?}"
-            );
         }
     }
 

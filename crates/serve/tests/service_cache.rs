@@ -127,11 +127,16 @@ fn traces_are_cached_whole_and_served_identically() {
     let server = Server::start(ServeConfig::default()).expect("start");
     let mut client = Client::connect(&server.addr()).expect("connect");
 
-    let query = "n=8&seed=5&max_rounds=2000";
-    let cold = client.get_trace(query).unwrap();
+    let body = ScenarioSpec {
+        seed: 5,
+        max_rounds: 2_000,
+        ..ScenarioSpec::default()
+    }
+    .to_json();
+    let cold = client.post_trace(&body).unwrap();
     assert_eq!(cold.status, 200, "{}", cold.text());
     assert_eq!(cold.header("x-gather-cache"), Some("miss"));
-    let hot = client.get_trace(query).unwrap();
+    let hot = client.post_trace(&body).unwrap();
     assert_eq!(hot.status, 200);
     assert_eq!(hot.header("x-gather-cache"), Some("hit"));
     assert!(hot.header("age").is_some());

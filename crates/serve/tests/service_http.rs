@@ -116,34 +116,75 @@ fn health_metrics_and_errors() {
     server.shutdown();
 }
 
+/// Reads one `name value` counter line out of a Prometheus scrape.
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("metrics missing {name}:\n{metrics}"))
+}
+
 #[test]
-fn legacy_paths_alias_v1_with_a_deprecation_header() {
+fn only_v1_paths_route_and_traces_are_post_only() {
     let server = Server::start(ServeConfig::default()).expect("start");
     let mut client = Client::connect(&server.addr()).expect("connect");
+    let spec = quick_spec();
+    let mut responses = Vec::new();
 
-    for path in ["/healthz", "/metrics"] {
-        let legacy = client.get(path).unwrap();
-        assert_eq!(legacy.status, 200, "{path}");
-        assert_eq!(legacy.header("deprecation"), Some("true"), "{path}");
-        let v1 = client.get(&format!("/v1{path}")).unwrap();
-        assert_eq!(v1.status, 200, "/v1{path}");
-        assert_eq!(v1.header("deprecation"), None, "/v1{path}");
+    // The un-prefixed paths are unknown paths, whatever the method.
+    for path in ["/run", "/metrics", "/healthz"] {
+        for method in ["GET", "POST"] {
+            let response = client.request(method, path, spec.as_bytes()).unwrap();
+            assert_eq!(response.status, 404, "{method} {path}");
+            assert!(
+                response.text().contains("\"code\":\"not_found\""),
+                "{method} {path}: {}",
+                response.text()
+            );
+            responses.push(response);
+        }
     }
-    let legacy_run = client
-        .request("POST", "/run", quick_spec().as_bytes())
-        .unwrap();
-    assert_eq!(legacy_run.status, 200);
-    assert_eq!(legacy_run.header("deprecation"), Some("true"));
-    let v1_run = client.post_run(&quick_spec()).unwrap();
-    assert_eq!(v1_run.status, 200);
-    assert_eq!(v1_run.header("deprecation"), None);
+    // `/v1/trace` takes its spec as a POST body only.
+    for target in ["/v1/trace", "/v1/trace?n=8"] {
+        let response = client.get(target).unwrap();
+        assert_eq!(response.status, 405, "GET {target}");
+        assert!(
+            response.text().contains("POST /v1/trace") && !response.text().contains("GET"),
+            "{}",
+            response.text()
+        );
+        responses.push(response);
+    }
+    let run = client.post_run(&spec).unwrap();
+    assert_eq!(run.status, 200);
+    responses.push(run);
+    // Every header is one the server documents; nothing marks a response
+    // as answering on a retired route.
+    for response in &responses {
+        for (name, _) in &response.headers {
+            assert!(
+                ["content-type", "content-length", "x-gather-cache"].contains(&name.as_str()),
+                "unexpected header {name:?} on a {} response",
+                response.status
+            );
+        }
+    }
+
+    // Unrouted requests never reach admission: every admitted request
+    // finished, and none of the above counted as a malformed spec.
+    let metrics = client.get("/v1/metrics").unwrap().text();
     assert_eq!(
-        legacy_run.body, v1_run.body,
-        "the alias serves bit-identical bodies"
+        counter(&metrics, "gather_requests_accepted_total"),
+        counter(&metrics, "gather_requests_completed_total")
+            + counter(&metrics, "gather_requests_expired_total")
+            + counter(&metrics, "gather_requests_failed_total"),
+        "{metrics}"
     );
-    // `/trace` is new under /v1; it never existed un-prefixed, so there
-    // is no legacy alias to keep.
-    assert_eq!(client.get("/trace?n=8").unwrap().status, 404);
+    assert_eq!(counter(&metrics, "gather_requests_accepted_total"), 1);
+    assert_eq!(
+        counter(&metrics, "gather_requests_rejected_malformed_total"),
+        0
+    );
     server.shutdown();
 }
 
@@ -156,7 +197,7 @@ fn oversized_bodies_get_413() {
     .expect("start");
     let mut client = Client::connect(&server.addr()).expect("connect");
     let big = format!("{{\"pad\":\"{}\"}}", "x".repeat(1024));
-    let response = client.request("POST", "/run", big.as_bytes()).unwrap();
+    let response = client.request("POST", "/v1/run", big.as_bytes()).unwrap();
     assert_eq!(response.status, 413);
     server.shutdown();
 }
@@ -310,7 +351,7 @@ fn full_queue_rejects_with_429_and_retry_after() {
     for handle in [hold, queued] {
         assert_eq!(handle.join().unwrap(), 200, "admitted slow jobs complete");
     }
-    let metrics = probe.get("/metrics").unwrap().text();
+    let metrics = probe.get("/v1/metrics").unwrap().text();
     assert!(
         metrics.contains("gather_requests_rejected_full_total"),
         "{metrics}"
@@ -347,7 +388,7 @@ fn expired_deadline_gets_504_without_running() {
     assert_eq!(busy.join().unwrap(), 200);
     let metrics = Client::connect(&addr)
         .unwrap()
-        .get("/metrics")
+        .get("/v1/metrics")
         .unwrap()
         .text();
     assert!(
@@ -388,7 +429,7 @@ fn shutdown_drains_admitted_work_and_stops_answering() {
     // And the listener is gone.
     assert!(
         Client::connect(&addr)
-            .and_then(|mut c| c.get("/healthz"))
+            .and_then(|mut c| c.get("/v1/healthz"))
             .is_err(),
         "port must stop answering after shutdown"
     );
@@ -400,7 +441,7 @@ fn shutdown_with_idle_keep_alive_connections_does_not_hang() {
     let addr = server.addr();
     // Three idle keep-alive connections (one did a request first).
     let mut first = Client::connect(&addr).unwrap();
-    assert_eq!(first.get("/healthz").unwrap().status, 200);
+    assert_eq!(first.get("/v1/healthz").unwrap().status, 200);
     let _second = Client::connect(&addr).unwrap();
     let _third = Client::connect(&addr).unwrap();
     std::thread::sleep(Duration::from_millis(50));

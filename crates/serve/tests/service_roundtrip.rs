@@ -34,7 +34,7 @@ fn served_bytes_match_in_process_runs_for_all_six_classes() {
             ..ScenarioSpec::default()
         };
         let expected = local_jsonl(&spec);
-        let response = client.post_run(&spec.to_json()).expect("POST /run");
+        let response = client.post_run(&spec.to_json()).expect("POST /v1/run");
         assert_eq!(
             response.status,
             200,
@@ -77,12 +77,12 @@ fn batched_scenarios_come_back_in_request_order_bit_identical() {
             .join(",")
     );
     let mut client = Client::connect(&server.addr()).expect("connect");
-    let response = client.post_run(&body).expect("POST /run");
+    let response = client.post_run(&body).expect("POST /v1/run");
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(response.body, expected.as_bytes());
     // The pool fans the batch out across workers; order and bytes must
     // nevertheless be reproducible on a second request.
-    let again = client.post_run(&body).expect("second POST /run");
+    let again = client.post_run(&body).expect("second POST /v1/run");
     assert_eq!(again.body, response.body);
     server.shutdown();
 }
@@ -115,11 +115,11 @@ fn mega_batch_endpoint_is_bit_identical_to_run_and_in_process() {
         expected.as_bytes(),
         "/v1/batch (columnar lanes) must serve in-process bytes"
     );
-    // There is no legacy alias for the mega-batch endpoint.
-    let legacy = client
+    // The mega-batch endpoint exists only under /v1.
+    let unversioned = client
         .request("POST", "/batch", body.as_bytes())
         .expect("POST /batch");
-    assert_eq!(legacy.status, 404);
+    assert_eq!(unversioned.status, 404);
     server.shutdown();
 }
 
@@ -143,11 +143,13 @@ fn async_scenarios_are_served_bit_identically() {
         expected.contains("\"async_events\":"),
         "async run must report its event count"
     );
-    let response = client.post_run(&spec.to_json()).expect("POST /run");
+    let response = client.post_run(&spec.to_json()).expect("POST /v1/run");
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(response.body, expected.as_bytes());
     // Repeatable across requests (and through the result cache).
-    let again = client.post_run(&spec.to_json()).expect("second POST /run");
+    let again = client
+        .post_run(&spec.to_json())
+        .expect("second POST /v1/run");
     assert_eq!(again.body, response.body);
     // The metrics exposition now carries the event-heap counter.
     let metrics = client.get("/v1/metrics").expect("GET /v1/metrics");
@@ -174,9 +176,7 @@ fn async_traces_round_trip_over_the_wire() {
     };
     let (_, rounds) = spec.to_scenario().expect("valid spec").run_traced();
     let expected = format!("{}{rounds}", spec.trace_header());
-    let response = client
-        .get_trace("scheduler=async&seed=5&max_rounds=10000")
-        .expect("GET /v1/trace");
+    let response = client.post_trace(&spec.to_json()).expect("POST /v1/trace");
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(response.body, expected.as_bytes());
     assert!(
@@ -200,7 +200,7 @@ fn invalid_async_combos_get_structured_400s() {
         r#"{"scheduler":"async","rigidity":"bendy"}"#,
         r#"{"scheduler":"async","speed_skew":99}"#,
     ] {
-        let response = client.post_run(body).expect("POST /run");
+        let response = client.post_run(body).expect("POST /v1/run");
         assert_eq!(response.status, 400, "{body}: {}", response.text());
         let text = response.text();
         assert!(
@@ -232,7 +232,7 @@ fn workload_families_are_served_identically_too() {
             ..ScenarioSpec::default()
         };
         let expected = local_jsonl(&spec);
-        let response = client.post_run(&spec.to_json()).expect("POST /run");
+        let response = client.post_run(&spec.to_json()).expect("POST /v1/run");
         assert_eq!(response.status, 200, "{workload}: {}", response.text());
         assert_eq!(
             response.body,

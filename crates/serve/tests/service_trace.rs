@@ -1,19 +1,20 @@
-//! `/v1/trace` streaming contract: the chunked trace/v2 document a
+//! `POST /v1/trace` streaming contract: the chunked trace/v2 document a
 //! client decodes is the spec's header line followed by round lines
 //! byte-identical to the in-process per-round trace of the same spec
 //! ([`Scenario::run_traced`]) — the bit-identity contract of DESIGN.md
-//! §11 extended from summaries to full traces. Both wire forms (JSON
-//! `POST`, deprecated query-param `GET`) must produce byte-identical
-//! documents, and only the GET form may carry a `Deprecation` header.
+//! §11 extended from summaries to full traces.
 
 use gather_config::Class;
 use gather_serve::{Client, ScenarioSpec, ServeConfig, Server};
 
-fn query(class: Class, n: usize, seed: u64) -> String {
-    format!(
-        "workload=class&class={}&n={n}&seed={seed}&max_rounds=2000",
-        class.short_name()
-    )
+fn spec(class: Class, n: usize, seed: u64) -> ScenarioSpec {
+    ScenarioSpec {
+        class: Some(class),
+        n,
+        seed,
+        max_rounds: 2_000,
+        ..ScenarioSpec::default()
+    }
 }
 
 #[test]
@@ -29,11 +30,11 @@ fn streamed_traces_are_byte_identical_to_in_process_runs() {
         (Class::QuasiRegular, 9),
         (Class::Asymmetric, 8),
     ] {
-        let spec = ScenarioSpec::from_query(&query(class, n, 7)).expect("query spec");
+        let spec = spec(class, n, 7);
         let (metrics, rounds_jsonl) = spec.to_scenario().expect("scenario").run_traced();
         let expected = format!("{}{rounds_jsonl}", spec.trace_header());
 
-        let response = client.get_trace(&query(class, n, 7)).unwrap();
+        let response = client.post_trace(&spec.to_json()).unwrap();
         assert_eq!(response.status, 200, "{class:?}: {}", response.text());
         assert_eq!(
             response.header("transfer-encoding"),
@@ -44,11 +45,6 @@ fn streamed_traces_are_byte_identical_to_in_process_runs() {
             response.header("content-type"),
             Some("application/x-ndjson"),
             "{class:?}"
-        );
-        assert_eq!(
-            response.header("deprecation"),
-            Some("true"),
-            "{class:?}: the query-param GET form is deprecated"
         );
         assert_eq!(
             response.body,
@@ -66,20 +62,6 @@ fn streamed_traces_are_byte_identical_to_in_process_runs() {
             metrics.rounds + 1,
             "{class:?}: one line per simulated round plus the header"
         );
-
-        // The JSON POST form: same validator, same cache key, same
-        // document bytes — and no deprecation marker.
-        let posted = client.post_trace(&spec.to_json()).unwrap();
-        assert_eq!(posted.status, 200, "{class:?}: {}", posted.text());
-        assert_eq!(
-            posted.body, response.body,
-            "{class:?}: POST and GET documents must be byte-identical"
-        );
-        assert_eq!(
-            posted.header("deprecation"),
-            None,
-            "{class:?}: the POST form is not deprecated"
-        );
     }
     server.shutdown();
 }
@@ -89,41 +71,38 @@ fn trace_requests_are_validated_and_counted() {
     let server = Server::start(ServeConfig::default()).expect("start");
     let mut client = Client::connect(&server.addr()).expect("connect");
 
-    let bad = client.get_trace("n=3").unwrap();
-    assert_eq!(bad.status, 400);
+    let bad = client.post_trace(r#"{"n":3}"#).unwrap();
+    assert_eq!(bad.status, 400, "{}", bad.text());
     assert!(
         bad.text().contains("\"code\":\"bad_spec\""),
         "{}",
         bad.text()
     );
-
-    // POST shares the same validator and budget checks.
-    let bad_post = client.post_trace(r#"{"n":3}"#).unwrap();
-    assert_eq!(bad_post.status, 400, "{}", bad_post.text());
-    assert!(
-        bad_post.text().contains("\"code\":\"bad_spec\""),
-        "{}",
-        bad_post.text()
-    );
     let bad_json = client.post_trace("not json").unwrap();
     assert_eq!(bad_json.status, 400, "{}", bad_json.text());
 
     let over = client
-        .get_trace(&format!(
-            "n=8&max_rounds={}",
+        .post_trace(&format!(
+            "{{\"n\":8,\"max_rounds\":{}}}",
             gather_serve::TRACE_MAX_ROUNDS + 1
         ))
         .unwrap();
     assert_eq!(over.status, 400, "{}", over.text());
+    assert!(
+        over.text().contains("\"code\":\"bad_spec\""),
+        "{}",
+        over.text()
+    );
     assert!(over.text().contains("max_rounds"), "{}", over.text());
 
-    // Only GET and POST reach the trace handler.
+    // Only POST reaches the trace handler.
     assert_eq!(
         client.request("PUT", "/v1/trace", b"{}").unwrap().status,
         405
     );
 
-    let ok = client.get_trace("class=A&n=8&max_rounds=2000").unwrap();
+    let body = spec(Class::Asymmetric, 8, 0).to_json();
+    let ok = client.post_trace(&body).unwrap();
     assert_eq!(ok.status, 200, "{}", ok.text());
     let metrics = client.get("/v1/metrics").unwrap().text();
     assert!(
@@ -131,13 +110,11 @@ fn trace_requests_are_validated_and_counted() {
         "{metrics}"
     );
 
-    // The POST twin of the spec above is a cache hit (shared key across
-    // wire forms) and still answers without a deprecation marker.
-    let spec = ScenarioSpec::from_query("class=A&n=8&max_rounds=2000").unwrap();
-    let hit = client.post_trace(&spec.to_json()).unwrap();
+    // A repeat is answered from the result cache with the same bytes.
+    let hit = client.post_trace(&body).unwrap();
     assert_eq!(hit.status, 200, "{}", hit.text());
-    assert_eq!(hit.header("x-gather-cache"), Some("hit"), "shared key");
-    assert_eq!(hit.header("deprecation"), None);
+    assert_eq!(hit.header("x-gather-cache"), Some("hit"));
+    assert!(hit.header("age").is_some());
     assert_eq!(hit.body, ok.body, "cache hit serves identical bytes");
     server.shutdown();
 }

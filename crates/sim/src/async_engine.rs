@@ -20,7 +20,7 @@
 //! * **crash interleaving** — a robot can crash between its Look and its
 //!   Move; its pending events are tombstoned by a generation counter.
 //!
-//! The Compute phase reuses [`StepCore`]'s shared-analysis machinery, so
+//! The Compute phase reuses `StepCore`'s shared-analysis machinery, so
 //! the `AnalysisCache` memo and the warm-started Weiszfeld solver carry
 //! over from the round-based engine unchanged: when the configuration has
 //! not changed since a robot's Look, its snapshot gets the shared analysis
@@ -843,9 +843,7 @@ impl AsyncEngine {
                         self.tick,
                         &self.positions,
                         &mut [],
-                        None,
                         shared.as_ref(),
-                        true,
                         &mut scratch,
                     );
                     self.core.stage_apply(&self.positions, &mut scratch);

@@ -19,14 +19,13 @@
 //! The hard contract is **bit-identity**: every lane produces exactly the
 //! [`RunMetrics`], violations and final positions of a sequential
 //! [`Engine`] run of the same spec. This holds by construction, not by
-//! re-implementation — lanes execute the *same* [`StepCore`] stage code
+//! re-implementation — lanes execute the *same* `StepCore` stage code
 //! the engine's round loop is built from, in the same order, with the
 //! same per-round counter windows; the columnar layer only stores state
 //! between rounds and pre-filters the gathered check with an
 //! arithmetically identical kernel.
 //!
 //! [`Engine`]: crate::engine::Engine
-//! [`StepCore`]: crate::engine::StepCore
 
 use crate::algorithm::Algorithm;
 use crate::crash::{CrashPlan, NoCrashes};
@@ -46,11 +45,12 @@ use gather_geom::{weiszfeld_iterations, Point, Tol};
 /// [`EngineBuilder`](crate::engine::EngineBuilder) surface that batch
 /// lanes support, as plain data. Defaults mirror the builder's exactly.
 ///
-/// Deliberately absent: byzantine robots, stale looks (`look_delay`),
-/// position logs and observability handles — the sweep workloads that
-/// justify lockstep execution use none of them, and each would smuggle
-/// per-lane state into the shared arena. Scenarios needing those run on
-/// the sequential engine.
+/// Deliberately absent: byzantine robots, position logs and
+/// observability handles — the sweep workloads that justify lockstep
+/// execution use none of them, and each would smuggle per-lane state into
+/// the shared arena. Scenarios needing those run on the sequential
+/// engine; stale observations are the event-heap
+/// [`AsyncEngine`](crate::async_engine::AsyncEngine)'s domain.
 pub struct LaneSpec {
     /// Initial robot positions (canonicalised on admission, exactly as the
     /// builder does).
@@ -499,9 +499,7 @@ impl BatchEngine {
             lane.round,
             &self.aos,
             &mut [],
-            None,
             shared.as_ref(),
-            true,
             &mut self.scratch,
         );
         lane.core.stage_apply(&self.aos, &mut self.scratch);

@@ -90,7 +90,7 @@ pub struct EngineParts {
 ///
 /// [`Engine`] recomposes the stages — in the exact order and with the
 /// exact operations of the original monolithic loop — around its own
-/// history ring, position log, trace and phase timers. The lockstep
+/// position log, trace and phase timers. The lockstep
 /// [`crate::batch::BatchEngine`] drives the *same* stage code over
 /// scenario-major columnar state, which is what makes batch execution
 /// bit-identical to sequential runs by construction rather than by
@@ -215,22 +215,17 @@ impl StepCore {
     /// positions land in `scratch.new_positions`; the return value is the
     /// round's total travel.
     ///
-    /// `history_front` is the stale observed configuration when a positive
-    /// look delay is in force (`None` means robots observe
-    /// `scratch.config`); `fresh_look` says whether the observed
-    /// configuration IS the analysed one, which is what licenses attaching
-    /// the shared analysis to robot snapshots. `byzantine` may be shorter
-    /// than the robot count (the batch path passes an empty slice: lanes
-    /// never carry byzantine robots); missing entries mean "not byzantine".
-    #[allow(clippy::too_many_arguments)]
+    /// Robots observe `scratch.config`, so `shared` — its analysis — is
+    /// attached to every robot snapshot. `byzantine` may be shorter than
+    /// the robot count (the batch and async paths pass an empty slice:
+    /// they never carry byzantine robots); missing entries mean "not
+    /// byzantine".
     pub(crate) fn stage_moves(
         &mut self,
         round: u64,
         positions: &[Point],
         byzantine: &mut [Option<Box<dyn ByzantinePolicy>>],
-        history_front: Option<&Configuration>,
         shared: Option<&RoundAnalysis>,
-        fresh_look: bool,
         scratch: &mut Scratch,
     ) -> f64 {
         scratch.new_positions.clear();
@@ -245,27 +240,22 @@ impl StepCore {
             } else {
                 let frame = self.frame_source.frame_for(me);
                 // The robot sees itself where it currently is (it is the
-                // origin of its own frame), embedded in the (possibly
-                // stale) observed configuration: its own entry is replaced
-                // by its true position, everyone else appears where they
-                // were `look_delay` rounds ago.
-                let observed = history_front.unwrap_or(&scratch.config);
-                scratch.local.copy_from(observed);
+                // origin of its own frame), embedded in the start-of-round
+                // configuration.
+                scratch.local.copy_from(&scratch.config);
                 scratch.local.set_point(i, me);
                 scratch.local.map_in_place(|p| frame.apply(p));
                 let local_me = frame.apply(me);
                 // Attach the shared analysis with its target carried into
                 // the robot's frame — class, n and qreg are invariant under
-                // the orientation-preserving frame similarity. Only valid
-                // when the robot's view IS the analysed configuration, i.e.
-                // with fresh (non-stale) LOOKs.
+                // the orientation-preserving frame similarity.
                 let snap = match shared {
-                    Some(ra) if fresh_look => Snapshot::with_analysis_borrowed(
+                    Some(ra) => Snapshot::with_analysis_borrowed(
                         &scratch.local,
                         local_me,
                         ra.map_target(|t| frame.apply(t)).analysis,
                     ),
-                    _ => Snapshot::borrowed(&scratch.local, local_me),
+                    None => Snapshot::borrowed(&scratch.local, local_me),
                 };
                 let local_dest = self.algorithm.destination(&snap);
                 frame.inverse().apply(local_dest)
@@ -529,7 +519,6 @@ pub struct EngineBuilder {
     frames: FramePolicy,
     tol: Tol,
     delta: f64,
-    look_delay: u64,
     record_positions: bool,
     check_invariants: bool,
     shared_analysis: bool,
@@ -722,26 +711,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Makes every LOOK observe the configuration from `delay` rounds ago
-    /// (default `0` — the paper's atomic ATOM semantics).
-    ///
-    /// A positive delay approximates the ASYNC model's central hazard:
-    /// robots move based on **stale** observations. The paper's proofs do
-    /// not cover this regime; experiment F6 charts it.
-    ///
-    /// **Deprecation note:** this knob predates the event-heap
-    /// [`crate::async_engine::AsyncEngine`], which models staleness
-    /// properly — a robot computes on the exact configuration it looked
-    /// at, with the gap between LOOK and MOVE emerging from per-robot
-    /// phase timing rather than a fixed round lag (see DESIGN.md §17's
-    /// model table). `look_delay` keeps working for F6 reproducibility,
-    /// but new staleness experiments should use `AsyncEngine` with
-    /// [`crate::async_engine::Timing::Phased`].
-    pub fn look_delay(mut self, delay: u64) -> Self {
-        self.look_delay = delay;
-        self
-    }
-
     /// Builds the engine.
     ///
     /// # Panics
@@ -818,8 +787,6 @@ impl EngineBuilder {
                 canon_order,
                 analysis_cache,
             },
-            look_delay: self.look_delay,
-            history: std::collections::VecDeque::new(),
             position_log: if self.record_positions {
                 vec![positions_clone]
             } else {
@@ -864,8 +831,6 @@ pub struct Engine {
     byzantine: Vec<Option<Box<dyn ByzantinePolicy>>>,
     round: u64,
     core: StepCore,
-    look_delay: u64,
-    history: std::collections::VecDeque<Configuration>,
     position_log: Vec<Vec<Point>>,
     record_positions: bool,
     position_log_capacity: Option<usize>,
@@ -890,7 +855,6 @@ impl Engine {
             frames: FramePolicy::default(),
             tol: Tol::default(),
             delta: 0.01,
-            look_delay: 0,
             record_positions: false,
             check_invariants: true,
             shared_analysis: true,
@@ -1062,21 +1026,6 @@ impl Engine {
         let (shared, class) = self.core.stage_classify(&scratch);
         timer.lap(Phase::Classify);
         self.core.stage_distinct(&mut scratch);
-
-        // Stale-view support: robots observe the configuration from
-        // `look_delay` rounds ago (the front of the bounded history). With
-        // the default atomic LOOK the observed configuration *is* the
-        // start-of-round one, so no history is kept at all.
-        if self.look_delay > 0 {
-            if self.history.len() > self.look_delay as usize {
-                // Recycle the evicted entry's buffer instead of allocating.
-                let mut front = self.history.pop_front().expect("non-empty history");
-                front.copy_from(&scratch.config);
-                self.history.push_back(front);
-            } else {
-                self.history.push_back(scratch.config.clone());
-            }
-        }
         timer.lap(Phase::Snapshot);
 
         // 1. Crashes.
@@ -1093,9 +1042,7 @@ impl Engine {
             self.round,
             &self.positions,
             &mut self.byzantine,
-            self.history.front(),
             shared.as_ref(),
-            self.look_delay == 0,
             &mut scratch,
         );
 

@@ -69,33 +69,6 @@ pub mod scheduler;
 pub mod snapshot;
 pub mod trace;
 
-// Deprecated top-level re-exports. The one-stop import surface is
-// [`prelude`]; these duplicates survive for source compatibility but new
-// code should spell `use gather_sim::prelude::…` (or the defining module).
-// Doc-comments rather than `#[deprecated]` attributes: a pub-use chain
-// would propagate the warning to the prelude itself.
-
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use algorithm::Algorithm;
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use byzantine::{ByzantinePolicy, Fugitive, StackStalker, Statue, Wanderer};
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use crash::{CrashAtRounds, CrashPlan, NoCrashes, RandomCrashes, TargetedCrashes};
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use engine::{Engine, EngineBuilder, EngineParts, RunOutcome};
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use frames::FramePolicy;
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use motion::{AlwaysDelta, FullMotion, MotionAdversary, RandomStops, SymmetricHalfStops};
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use scheduler::{
-    EveryRobot, FnScheduler, RandomSubsets, RoundRobin, Scheduler, SequentialSingle,
-};
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use snapshot::Snapshot;
-/// Deprecated duplicate re-export — import from [`prelude`] instead.
-pub use trace::{RoundRecord, Trace};
-
 /// The one-stop import surface for simulator users: algorithms, the
 /// engine (with its recyclable [`EngineParts`]), every adversary knob
 /// ([`CrashPlan`], [`Scheduler`], [`MotionAdversary`], [`ByzantinePolicy`],

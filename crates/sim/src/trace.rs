@@ -70,7 +70,7 @@ impl RoundRecord {
     ///
     /// Like `RunMetrics::to_jsonl` the encoding is deterministic and
     /// byte-exact (floats use shortest round-trip formatting), which is
-    /// what lets the service's streaming `GET /v1/trace` endpoint promise
+    /// what lets the service's streaming `POST /v1/trace` endpoint promise
     /// byte-identity with the in-process trace. The schema is pinned by
     /// `crates/sim/tests/trace_schema.rs` — changing field names or order
     /// is a breaking API change.
@@ -332,7 +332,7 @@ impl Trace {
     /// Serialises every *retained* record as NDJSON — one
     /// [`RoundRecord::write_jsonl`] line per round, each terminated by
     /// `\n`. With an unbounded trace this is the full execution, and it is
-    /// the exact byte stream `GET /v1/trace` serves.
+    /// the exact byte stream `POST /v1/trace` serves.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 128);
         for record in &self.records {

@@ -1,7 +1,7 @@
 //! Golden pin of the per-round NDJSON trace schema.
 //!
 //! The trace line format is an external contract: it is what
-//! `GET /v1/trace` streams to clients and what `b9_obs` audits, so its
+//! `POST /v1/trace` streams to clients and what `b9_obs` audits, so its
 //! key set, key order and encoding must not drift silently. A change
 //! here is an API change — update the consumers (service docs, b9_obs'
 //! `TRACE_SCHEMA`) in the same commit, never casually.

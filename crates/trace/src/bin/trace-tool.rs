@@ -1,7 +1,7 @@
 //! `trace-tool` — the trace corpus CLI.
 //!
 //! ```text
-//! trace-tool capture --out FILE [--seed N] [--max-rounds N] [--check-get-twin]
+//! trace-tool capture --out FILE [--seed N] [--max-rounds N]
 //! trace-tool analyze --corpus FILE [--out FILE]
 //! trace-tool diff --baseline FILE --candidate FILE [--tol-rounds F] [--tol-slope F]
 //! trace-tool replay --corpus FILE [--exec LABEL] [--every K] [--cols N] [--rows N] [--svg FILE]
@@ -12,9 +12,8 @@
 //! service; `analyze` prints the deterministic NDJSON report; `diff`
 //! exits 1 on regressions; `replay` re-simulates and renders terminal
 //! frames (and optionally the SVG trajectory export); `smoke` is the CI
-//! gate: capture twice (byte-determinism), check the GET twin, compare
-//! analyzer output against the committed baseline, and self-diff at zero
-//! tolerance.
+//! gate: capture twice (byte-determinism), compare analyzer output
+//! against the committed baseline, and self-diff at zero tolerance.
 
 use gather_trace::{
     analyze_corpus, capture_corpus, diff_reports, replay_execution, replay_svg, six_class_specs,
@@ -46,7 +45,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: trace-tool <capture|analyze|diff|replay|smoke> [options]\n\
-  capture --out FILE [--seed N] [--max-rounds N] [--check-get-twin]\n\
+  capture --out FILE [--seed N] [--max-rounds N]\n\
   analyze --corpus FILE [--out FILE]\n\
   diff --baseline FILE --candidate FILE [--tol-rounds F] [--tol-slope F]\n\
   replay --corpus FILE [--exec LABEL] [--every K] [--cols N] [--rows N] [--svg FILE]\n\
@@ -58,10 +57,6 @@ fn opt<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
         .rev()
         .find(|w| w[0] == key)
         .map(|w| w[1].as_str())
-}
-
-fn flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
 }
 
 fn required<'a>(args: &'a [String], key: &str) -> Result<&'a str, String> {
@@ -86,7 +81,7 @@ fn capture(args: &[String]) -> Result<ExitCode, String> {
     let seed = parsed(opt(args, "--seed").unwrap_or("7"), "--seed")?;
     let max_rounds = parsed(opt(args, "--max-rounds").unwrap_or("2000"), "--max-rounds")?;
     let specs = six_class_specs(seed, max_rounds);
-    let corpus = capture_corpus(&specs, flag(args, "--check-get-twin"))?;
+    let corpus = capture_corpus(&specs)?;
     write(out, &corpus)?;
     let parsed = Corpus::parse(&corpus)?;
     println!(
@@ -166,19 +161,19 @@ fn replay(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The CI gate: capture determinism, wire-form identity, baseline byte
-/// identity, and a zero-tolerance self-diff.
+/// The CI gate: capture determinism, baseline byte identity, and a
+/// zero-tolerance self-diff.
 fn smoke(args: &[String]) -> Result<ExitCode, String> {
     let baseline_path = required(args, "--baseline")?;
     let specs = six_class_specs(7, 2_000);
 
-    let first = capture_corpus(&specs, true)?;
-    let second = capture_corpus(&specs, false)?;
+    let first = capture_corpus(&specs)?;
+    let second = capture_corpus(&specs)?;
     if first != second {
         return Err("capture is not byte-deterministic across service instances".to_string());
     }
     println!(
-        "trace-smoke: capture deterministic ({} bytes), GET twin identical",
+        "trace-smoke: capture deterministic across service instances ({} bytes)",
         first.len()
     );
 

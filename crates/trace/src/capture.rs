@@ -6,9 +6,7 @@
 //! path the deployed service serves: validation, the trace/v2 header,
 //! chunked streaming and the result cache. The bit-identity contract
 //! makes the two routes byte-equal anyway; capturing over the wire is
-//! what *checks* that, and [`capture_corpus`] optionally replays every
-//! spec through the deprecated `GET` form to assert the redesigned `POST`
-//! endpoint kept its bytes.
+//! what *checks* that.
 
 use gather_config::Class;
 use gather_serve::{Client, ScenarioSpec, ServeConfig, Server};
@@ -48,60 +46,26 @@ pub fn six_class_specs(seed: u64, max_rounds: u64) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// The deprecated query-string form of a spec (the `GET /v1/trace`
-/// twin), used to cross-check the two wire forms during capture.
-fn spec_query(spec: &ScenarioSpec) -> String {
-    let mut q = format!("workload={}", spec.workload);
-    if let Some(class) = spec.class {
-        q.push_str(&format!("&class={}", class.short_name()));
-    }
-    q.push_str(&format!(
-        "&n={}&seed={}&faults={}&algorithm={}&scheduler={}&motion={}&delta={:?}&max_rounds={}",
-        spec.n,
-        spec.seed,
-        spec.faults,
-        spec.algorithm,
-        spec.scheduler,
-        spec.motion,
-        spec.delta,
-        spec.max_rounds
-    ));
-    if spec.scheduler == "async" {
-        q.push_str(&format!(
-            "&rigidity={}&speed_skew={:?}",
-            if spec.rigid { "rigid" } else { "non-rigid" },
-            spec.speed_skew
-        ));
-    }
-    q
-}
-
 /// Captures one corpus: starts an in-process service, streams every
 /// spec's trace document over `POST /v1/trace`, and concatenates the
-/// bodies in spec order. With `check_get_twin`, each document is also
-/// fetched through the deprecated `GET` form and both the bytes and the
-/// `Deprecation` header semantics are asserted.
+/// bodies in spec order.
 ///
 /// # Errors
 ///
-/// Any transport failure, non-200 response, or (under `check_get_twin`)
-/// wire-form divergence.
-pub fn capture_corpus(specs: &[ScenarioSpec], check_get_twin: bool) -> Result<String, String> {
+/// Any transport failure, non-200 response, or a document without the
+/// trace/v2 header.
+pub fn capture_corpus(specs: &[ScenarioSpec]) -> Result<String, String> {
     let server = Server::start(ServeConfig {
         workers: 2,
         ..ServeConfig::default()
     })
     .map_err(|e| format!("start capture service: {e}"))?;
-    let result = capture_on(&server, specs, check_get_twin);
+    let result = capture_on(&server, specs);
     server.shutdown();
     result
 }
 
-fn capture_on(
-    server: &Server,
-    specs: &[ScenarioSpec],
-    check_get_twin: bool,
-) -> Result<String, String> {
+fn capture_on(server: &Server, specs: &[ScenarioSpec]) -> Result<String, String> {
     let mut client =
         Client::connect(&server.addr()).map_err(|e| format!("connect capture client: {e}"))?;
     let mut corpus = String::new();
@@ -116,34 +80,12 @@ fn capture_on(
                 posted.text()
             ));
         }
-        if posted.header("deprecation").is_some() {
-            return Err("POST /v1/trace must not be marked deprecated".to_string());
-        }
         let document = posted.text();
         if !document.starts_with("{\"schema\":\"trace/v2\",") {
             return Err(format!(
                 "trace document lacks the v2 header: {:?}...",
                 &document[..document.len().min(40)]
             ));
-        }
-        if check_get_twin {
-            let got = client
-                .get_trace(&spec_query(spec))
-                .map_err(|e| format!("GET /v1/trace: {e}"))?;
-            if got.status != 200 {
-                return Err(format!("GET /v1/trace -> {}: {}", got.status, got.text()));
-            }
-            if got.header("deprecation") != Some("true") {
-                return Err("GET /v1/trace must carry the Deprecation header".to_string());
-            }
-            if got.body != posted.body {
-                return Err(format!(
-                    "wire forms diverge for seed {}: GET served {} bytes, POST {}",
-                    spec.seed,
-                    got.body.len(),
-                    posted.body.len()
-                ));
-            }
         }
         corpus.push_str(&document);
     }
@@ -164,23 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn query_twin_round_trips_through_the_shared_validator() {
-        for spec in six_class_specs(3, 500) {
-            let parsed = ScenarioSpec::from_query(&spec_query(&spec)).expect("query parses");
-            assert_eq!(parsed, spec);
-        }
-        let async_spec = ScenarioSpec {
-            scheduler: "async",
-            rigid: false,
-            speed_skew: 0.5,
-            ..ScenarioSpec::default()
-        };
-        let parsed = ScenarioSpec::from_query(&spec_query(&async_spec)).expect("async query");
-        assert_eq!(parsed, async_spec);
-    }
-
-    #[test]
-    fn capture_streams_documents_in_spec_order_with_get_twin_checks() {
+    fn capture_streams_documents_in_spec_order() {
         let specs = vec![
             ScenarioSpec {
                 seed: 11,
@@ -193,7 +119,7 @@ mod tests {
                 ..ScenarioSpec::default()
             },
         ];
-        let corpus = capture_corpus(&specs, true).expect("capture");
+        let corpus = capture_corpus(&specs).expect("capture");
         let expected: String = specs
             .iter()
             .map(|spec| {

@@ -7,7 +7,7 @@
 //! * [`capture`] — stream trace/v2 documents from the real service
 //!   (`POST /v1/trace` against an in-process server) into a corpus file;
 //! * [`corpus`] — parse v1/v2 NDJSON into a columnar in-memory
-//!   [`Corpus`](corpus::Corpus) via a pinned-schema fast scanner;
+//!   [`Corpus`] via a pinned-schema fast scanner;
 //! * [`analytics`] — per-execution class-transition graphs, the
 //!   potential-monotonicity audit (Lemmas 5.3–5.9), phase durations and
 //!   convergence slopes;

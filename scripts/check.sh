@@ -33,6 +33,11 @@ else
   echo "== clippy: not installed, skipped =="
 fi
 
+echo "== rustdoc (intra-doc links, warnings denied) =="
+# Every doc link must resolve to a public item: a renamed or removed
+# item otherwise leaves a dangling link that only a doc build notices.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== bench-smoke (B1 vs committed baseline) =="
 # Tiny B1 matrix under the counting allocator: fails on any steady-state
 # heap allocation in the scratch path, a warm-started Weiszfeld that is
@@ -123,9 +128,8 @@ cargo run --release --offline -p gather-serve --bin b8_service -- --cache-smoke
 
 echo "== trace-smoke (corpus capture + analytics vs committed baseline) =="
 # The trace-corpus gate (DESIGN.md §18): captures the standard six-class
-# corpus twice over POST /v1/trace against an in-process service (must be
-# byte-deterministic, with the deprecated GET twin serving identical
-# bytes), audits every execution clean (zero monotonicity violations,
+# corpus twice over POST /v1/trace against two in-process service
+# instances (must be byte-deterministic), audits every execution clean (zero monotonicity violations,
 # zero non-lemma transition edges, all gather), asserts the analyzer's
 # NDJSON byte-identical to the committed baseline, and runs a
 # zero-tolerance self-diff.
