@@ -100,8 +100,6 @@ fn build(initial: &[Point], incremental: bool) -> Engine {
         .frames(FramePolicy::GlobalFrame)
         .delta(0.05)
         .check_invariants(false)
-        .shared_analysis(true)
-        .warm_start(true)
         .incremental(incremental)
         .build()
 }

@@ -7,8 +7,9 @@
 //!
 //! * **degeneracy** — with atomic LCM cycles, lockstep pacing and rigid
 //!   motion the async engine must produce bit-identical traces to the
-//!   FSYNC `Engine` for every configuration class (the contract of
-//!   `tests/async_identity.rs`, re-verified here before any timing);
+//!   FSYNC `Engine` on its full-recompute reference path for every
+//!   configuration class (the contract of `tests/async_identity.rs`,
+//!   re-verified here before any timing);
 //! * **determinism** — the same phased/non-rigid/skewed spec must yield
 //!   byte-identical summary JSONL on repeated runs.
 //!
@@ -46,7 +47,9 @@ fn tick_cap(n: usize) -> u64 {
 }
 
 /// The degeneracy gate: for every class, the async engine in its
-/// degenerate corner must *be* the round engine, byte for byte.
+/// degenerate corner must *be* the round engine, byte for byte. The round
+/// engine runs the full-recompute reference, so the gate also pins the
+/// async engine's incremental path to the oracle.
 fn degeneracy_gate(failures: &mut Vec<String>) {
     for class in Class::all() {
         let initial = of_class(class, 8, 23);
@@ -56,6 +59,7 @@ fn degeneracy_gate(failures: &mut Vec<String>) {
                 .crash_plan(RandomCrashes::new(1, 0.05, 25))
                 .frames(FramePolicy::RandomPerActivation { seed: 26 })
                 .check_invariants(false)
+                .incremental(false)
                 .build()
         };
         let mut sync = build_sync();

@@ -63,9 +63,6 @@ pub fn lane_spec(s: &Scenario) -> LaneSpec {
         tol: Tol::default(),
         delta: s.delta,
         check_invariants: wait_free,
-        shared_analysis: true,
-        warm_start: true,
-        incremental: false,
         max_rounds: s.max_rounds,
         // Sweeps read summaries only; full per-round traces stay off the
         // hot path (trace consumers go through `Scenario::run_traced`).

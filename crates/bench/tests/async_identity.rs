@@ -1,11 +1,13 @@
 //! The ASYNC degeneracy contract, end to end: with zero phase durations
 //! (atomic LCM cycles), lockstep pacing, every robot activated and rigid
-//! motion, the event-heap engine **is** the FSYNC round engine — same
-//! `RunOutcome`, same positions, same per-round trace bytes, same
-//! analysis-cache counters — for every configuration class and under
-//! crashes. And away from the degenerate corner, an ASYNC run is a pure
-//! function of its seed: the same spec yields byte-identical NDJSON
-//! regardless of how many pool workers execute around it.
+//! motion, the event-heap engine **is** the FSYNC round engine on its
+//! full-recompute reference path — same `RunOutcome`, same positions,
+//! same per-round trace bytes, same analysis-cache counters but the
+//! `dirty_skips` only the incremental path counts — for every
+//! configuration class and under crashes. And away from the degenerate
+//! corner, an ASYNC run is a pure function of its seed: the same spec
+//! yields byte-identical NDJSON regardless of how many pool workers
+//! execute around it.
 
 use gather_bench::pool::WorkerPool;
 use gather_bench::runner::Scenario;
@@ -17,7 +19,9 @@ use gather_workloads::of_class;
 use gathering::WaitFreeGather;
 
 /// Builds the FSYNC and degenerate-ASYNC twins of one scenario: same
-/// algorithm, same derived seeds, same crash plan, same frame policy.
+/// algorithm, same derived seeds, same crash plan, same frame policy. The
+/// FSYNC twin runs the full-recompute reference, so the gate pins the
+/// async engine's incremental path to the oracle.
 fn twins(initial: Vec<Point>, seed: u64, faults: usize) -> (Engine, AsyncEngine) {
     let n = initial.len();
     let sync = Engine::builder(initial.clone())
@@ -27,6 +31,7 @@ fn twins(initial: Vec<Point>, seed: u64, faults: usize) -> (Engine, AsyncEngine)
             seed: seed.wrapping_add(3),
         })
         .check_invariants(true)
+        .incremental(false)
         .build();
     let async_eng = AsyncEngine::builder(initial)
         .algorithm(WaitFreeGather::default())
@@ -65,9 +70,12 @@ fn degenerate_async_is_bit_identical_to_fsync_for_all_six_classes() {
                 async_eng.violations(),
                 "{tag}: audit verdicts"
             );
+            let (computed, hits, dirty_skips) = sync.analysis_cache_stats();
+            let (async_computed, async_hits, _) = async_eng.analysis_cache_stats();
+            assert_eq!(dirty_skips, 0, "{tag}: the reference never dirty-skips");
             assert_eq!(
-                sync.analysis_cache_stats(),
-                async_eng.analysis_cache_stats(),
+                (computed, hits),
+                (async_computed, async_hits),
                 "{tag}: cache counters"
             );
         }
@@ -126,13 +134,29 @@ fn same_seed_async_trace_bytes_are_reproducible() {
     }
 }
 
+/// Runs `s` and checks its metrics line: the `dirty_skips` counter reads
+/// `dirty_skips`, and with it masked to 0 the line is `reference`, the
+/// line the full-recompute path produced for the same scenario (the
+/// async engine ran that path before the incremental one became its
+/// only one; `AsyncEngine`'s unit tests compare the two paths live).
+fn assert_metrics_line(s: &Scenario, reference: &str, dirty_skips: u64) {
+    let mut metrics = s.run();
+    let stats = metrics
+        .analysis_cache
+        .as_mut()
+        .expect("runs attach cache stats");
+    assert_eq!(stats.dirty_skips, dirty_skips, "dirty skips");
+    stats.dirty_skips = 0;
+    assert_eq!(metrics.to_jsonl(), reference);
+}
+
 /// The slowest async-team scatter on record (n = 64, non-rigid, seed
 /// 939120936): a robot near the Weber point passes the quasi-regularity
 /// prefilter in most of its class-A configurations, so every class-A
 /// Compute runs the full Lemma 3.4 test. The run is in class A for its
 /// first 1,328 ticks; the cap stops it shortly after the switch to M.
-/// The golden line was produced by the exhaustive election and Lemma 3.4
-/// test, before either stopped its searches early.
+/// The reference line was produced by the exhaustive election and
+/// Lemma 3.4 test, before either stopped its searches early.
 #[test]
 fn slowest_async_team_scatter_keeps_its_metrics_line() {
     let seed = 939_120_936;
@@ -142,15 +166,16 @@ fn slowest_async_team_scatter_keeps_its_metrics_line() {
     s.rigid = false;
     s.speed_skew = 0.5;
     s.max_rounds = 1_400;
-    assert_eq!(
-        s.run().to_jsonl(),
+    assert_metrics_line(
+        &s,
         concat!(
             r#"{"gathered":false,"rounds":1400,"total_travel":46.872940898100445,"#,
             r#""class_rounds":{"M":72,"A":1328},"class_sequence":["A","M"],"#,
             r#""transitions":[["A","M",1]],"classifications":1976,"cache_hits":116,"#,
             r#""weiszfeld_iters":1887,"analysis_cache":{"computed":1285,"hits":116,"#,
             r#""dirty_skips":0},"async_events":1805}"#
-        )
+        ),
+        116,
     );
 }
 
@@ -158,7 +183,7 @@ fn slowest_async_team_scatter_keeps_its_metrics_line() {
 /// class A for 339 ticks, then class M, where the robots pile up on the
 /// heavy point and every apply canonicalises ever larger stacks. The cap
 /// stops it after 1,000 of the 6,132 ticks it takes to gather, with
-/// three quarters of its travel done. The golden line was
+/// three quarters of its travel done. The reference line was
 /// produced by the pairwise canonicalisation scan, before the
 /// sort-and-sweep replaced it.
 #[test]
@@ -170,14 +195,15 @@ fn stacking_async_team_scatter_keeps_its_metrics_line() {
     s.rigid = true;
     s.speed_skew = 0.5;
     s.max_rounds = 1_000;
-    assert_eq!(
-        s.run().to_jsonl(),
+    assert_metrics_line(
+        &s,
         concat!(
             r#"{"gathered":false,"rounds":1000,"total_travel":1528.3058979801592,"#,
             r#""class_rounds":{"M":661,"A":339},"class_sequence":["A","M"],"#,
             r#""transitions":[["A","M",1]],"classifications":1362,"cache_hits":55,"#,
             r#""weiszfeld_iters":11137,"analysis_cache":{"computed":946,"hits":55,"#,
             r#""dirty_skips":0},"async_events":1000}"#
-        )
+        ),
+        55,
     );
 }

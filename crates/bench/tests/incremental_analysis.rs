@@ -1,9 +1,11 @@
-//! The incremental-analysis bit-identity contract: an engine built with
-//! `incremental(true)` — dirty-tracked canonicalisation, patched distinct
-//! multisets, dirty-skipped static rounds — must produce byte-for-byte the
-//! same positions, `RunMetrics`, violations and outcome as the
-//! full-recompute reference path, for every configuration class,
-//! scheduler, motion floor and crash count.
+//! The incremental-analysis bit-identity contract: the incremental path
+//! every engine driver runs — kept-order canonicalisation, patched
+//! distinct multisets, dirty-skipped static rounds — must produce
+//! byte-for-byte the same positions, `RunMetrics`, violations and outcome
+//! as the full-recompute reference (`EngineBuilder::incremental(false)`),
+//! for every configuration class, scheduler, motion floor and crash count.
+//! Each case runs as a batch lane and is checked against a sequential
+//! `Engine` built from the lane's spec on the reference path.
 //!
 //! The one allowed difference is the `dirty_skips` counter itself: it
 //! reports how many memo hits the incremental path *proved* with an empty
@@ -16,6 +18,7 @@ use gather_bench::runner::Scenario;
 use gather_bench::sweep::lane_spec;
 use gather_config::Class;
 use gather_geom::Point;
+use gather_sim::metrics::{summarize, CacheStats};
 use gather_sim::prelude::*;
 use gather_workloads as workloads;
 
@@ -59,6 +62,37 @@ fn run_lane(spec: LaneSpec) -> LaneResult {
         .expect("one spec, one result")
 }
 
+/// Runs one spec sequentially on the full-recompute reference path, with
+/// the lane's cache counters attached the way a lane attaches them.
+fn run_reference(s: LaneSpec) -> LaneResult {
+    let mut e = Engine::builder(s.initial)
+        .algorithm(s.algorithm)
+        .scheduler(s.scheduler)
+        .crash_plan(s.crash_plan)
+        .motion(s.motion)
+        .frames(s.frames)
+        .tol(s.tol)
+        .delta(s.delta)
+        .check_invariants(s.check_invariants)
+        .incremental(false)
+        .build();
+    let outcome = e.run(s.max_rounds);
+    let mut metrics = summarize(outcome, e.trace());
+    let (computed, hits, dirty_skips) = e.analysis_cache_stats();
+    metrics.analysis_cache = Some(CacheStats {
+        computed,
+        hits,
+        dirty_skips,
+    });
+    LaneResult {
+        outcome,
+        metrics,
+        violations: e.violations().to_vec(),
+        positions: e.positions().to_vec(),
+        trace_jsonl: None,
+    }
+}
+
 /// Masks the incremental-only `dirty_skips` counter so the two modes can
 /// be compared for full equality.
 fn masked(mut r: LaneResult) -> LaneResult {
@@ -72,10 +106,8 @@ fn masked(mut r: LaneResult) -> LaneResult {
 fn incremental_matches_full_recompute_across_the_class_grid() {
     for audit in [true, false] {
         for (k, s) in all_class_grid(audit).iter().enumerate() {
-            let reference = run_lane(lane_spec(s));
-            let mut inc = lane_spec(s);
-            inc.incremental = true;
-            let incremental = run_lane(inc);
+            let reference = run_reference(lane_spec(s));
+            let incremental = run_lane(lane_spec(s));
             let stats = incremental
                 .metrics
                 .analysis_cache
@@ -112,15 +144,14 @@ impl Algorithm for Stay {
 #[test]
 fn all_static_rounds_dirty_skip_and_stay_identical() {
     let initial = workloads::random_scatter(12, 6.0, 5);
-    let mk = |incremental: bool| {
+    let mk = || {
         let mut s = LaneSpec::new(initial.clone(), Box::new(Stay));
         s.check_invariants = false; // Stay violates wait-freeness by design
         s.max_rounds = 50;
-        s.incremental = incremental;
         s
     };
-    let reference = run_lane(mk(false));
-    let incremental = run_lane(mk(true));
+    let reference = run_reference(mk());
+    let incremental = run_lane(mk());
     let stats = incremental.metrics.analysis_cache.expect("stats");
     assert_eq!(
         stats.dirty_skips, 50,
@@ -137,10 +168,8 @@ fn all_robots_moving_every_round_stay_identical() {
     let mut s = Scenario::new(workloads::of_class(Class::Asymmetric, 10, 7), 7);
     s.max_rounds = 120;
     s.audit = false;
-    let reference = run_lane(lane_spec(&s));
-    let mut inc = lane_spec(&s);
-    inc.incremental = true;
-    let incremental = run_lane(inc);
+    let reference = run_reference(lane_spec(&s));
+    let incremental = run_lane(lane_spec(&s));
     let stats = incremental.metrics.analysis_cache.expect("stats");
     assert!(
         stats.computed > incremental.metrics.rounds / 2,

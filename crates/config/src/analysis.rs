@@ -295,7 +295,9 @@ impl AnalysisCache {
     ///   `dirty_skips` tick).
     /// * Non-empty — the memoized distinct-location multiset is patched at
     ///   the dirty indices (O(|dirty|·log n) instead of an O(n log n)
-    ///   re-sort) and classification resumes from it via
+    ///   re-sort; built for `config` outright when the entry holds none
+    ///   yet, after a plain miss or a seed) and classification resumes
+    ///   from it via
     ///   [`classify_hinted_with_distinct`], with the same warm-start hint
     ///   policy as a plain miss; `computed`/`hits` and the classify and
     ///   Weiszfeld invocation counters advance exactly as the reference
@@ -345,6 +347,11 @@ impl AnalysisCache {
         {
             let e = self.entry.as_mut().expect("usable entry");
             if !e.distinct_valid {
+                // No multiset to patch: build the new configuration's
+                // directly, which leaves the loop below nothing to do.
+                for &i in dirty {
+                    e.points[i] = config.points()[i];
+                }
                 e.rebuild_distinct(&mut self.sort_buf);
             }
             for &i in dirty {

@@ -773,11 +773,13 @@ mod tests {
         out
     }
 
-    /// One apply of the incremental engine's kept-order protocol: `order`
-    /// is the lex order of `prev`; the moves give `moved`. Repairs the
-    /// order for the moves, canonicalises through it, repairs it again for
-    /// what canonicalisation changed, and checks the output against the
-    /// oracle and the kept order against a fresh sort.
+    /// One apply of a kept-order protocol: `order` is the lex order of
+    /// `prev`; the moves give `moved`. Repairs the order for the moves,
+    /// canonicalises through it, repairs it again for what
+    /// canonicalisation changed, and checks the output against the oracle
+    /// and the kept order against a fresh sort. (The engine sorts afresh
+    /// after a merge instead of the second repair; the repair must hold
+    /// for any changed set either way.)
     fn kept_order_apply(
         prev: &[Point],
         moved: &[Point],

@@ -780,21 +780,19 @@ pub(crate) fn route(inner: &Inner, request: &Request, replier: Replier) -> Route
         ("POST", "/run") => run_route(inner, request, replier, false),
         ("POST", "/batch") => crate::batch_api::batch_route(inner, request, replier),
         ("POST", "/trace") => trace_route(inner, request, replier),
-        (_, "/trace") => Routed::Now(Response::error(
-            405,
-            "method_not_allowed",
-            "method not allowed (traces come from POST /v1/trace)",
-        )),
-        (_, "/batch") => Routed::Now(Response::error(
-            405,
-            "method_not_allowed",
-            "method not allowed (scenario batches go to POST /v1/batch)",
-        )),
-        (_, "/run") | (_, "/metrics") | (_, "/healthz") => Routed::Now(Response::error(
-            405,
-            "method_not_allowed",
-            "method not allowed (scenarios go to POST /v1/run)",
-        )),
+        // A known path under the wrong method: name the one it takes.
+        (_, "/run" | "/batch" | "/trace" | "/metrics" | "/healthz") => {
+            let method = if matches!(path, "/metrics" | "/healthz") {
+                "GET"
+            } else {
+                "POST"
+            };
+            Routed::Now(Response::error(
+                405,
+                "method_not_allowed",
+                &format!("method not allowed (use {method} /v1{path})"),
+            ))
+        }
         _ => Routed::Now(Response::error(
             404,
             "not_found",

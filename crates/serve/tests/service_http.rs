@@ -144,13 +144,22 @@ fn only_v1_paths_route_and_traces_are_post_only() {
             responses.push(response);
         }
     }
-    // `/v1/trace` takes its spec as a POST body only.
-    for target in ["/v1/trace", "/v1/trace?n=8"] {
-        let response = client.get(target).unwrap();
-        assert_eq!(response.status, 405, "GET {target}");
+    // A `/v1` path under the wrong method is a 405 naming the method and
+    // path it takes; `/v1/trace` takes its spec as a POST body only.
+    for (method, target, allowed) in [
+        ("GET", "/v1/run", "POST /v1/run"),
+        ("GET", "/v1/batch", "POST /v1/batch"),
+        ("GET", "/v1/trace", "POST /v1/trace"),
+        ("GET", "/v1/trace?n=8", "POST /v1/trace"),
+        ("POST", "/v1/metrics", "GET /v1/metrics"),
+        ("POST", "/v1/healthz", "GET /v1/healthz"),
+    ] {
+        let response = client.request(method, target, spec.as_bytes()).unwrap();
+        assert_eq!(response.status, 405, "{method} {target}");
+        let message = format!("\"message\":\"method not allowed (use {allowed})\"");
         assert!(
-            response.text().contains("POST /v1/trace") && !response.text().contains("GET"),
-            "{}",
+            response.text().contains(&message),
+            "{method} {target}: {}",
             response.text()
         );
         responses.push(response);

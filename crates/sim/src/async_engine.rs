@@ -21,11 +21,13 @@
 //!   Move; its pending events are tombstoned by a generation counter.
 //!
 //! The Compute phase reuses `StepCore`'s shared-analysis machinery, so
-//! the `AnalysisCache` memo and the warm-started Weiszfeld solver carry
-//! over from the round-based engine unchanged: when the configuration has
-//! not changed since a robot's Look, its snapshot gets the shared analysis
-//! (carried into its frame); when it *is* stale, the robot honestly
-//! re-classifies its stale view.
+//! the `AnalysisCache` memo, the incremental dirty-tracked re-analysis and
+//! the warm-started Weiszfeld solver carry over from the round-based
+//! engine unchanged: when the configuration has not changed since a
+//! robot's Look, its snapshot gets the shared analysis (carried into its
+//! frame); when it *is* stale, the robot honestly re-classifies its stale
+//! view. A tick applies at most once and analyses the result before the
+//! next apply, so the pending-dirty protocol (DESIGN.md §15) holds as is.
 //!
 //! **Degeneracy contract**: with [`Timing::Atomic`], [`Pacing::Lockstep`]
 //! and a rigid adversary, every tick pops one batch of all-robot Looks and
@@ -46,8 +48,8 @@ use crate::motion::{apply_motion, FullMotion, MotionAdversary};
 use crate::scheduler::EveryRobot;
 use crate::snapshot::Snapshot;
 use crate::trace::{RoundRecord, Trace};
-use gather_config::{classify, classify_invocations, Class, Configuration};
-use gather_geom::{weiszfeld_iterations, Point, Similarity, Tol};
+use gather_config::{Class, Configuration};
+use gather_geom::{Point, Similarity, Tol};
 use gather_prng::Rng;
 
 /// How long the Compute and Move phases take.
@@ -166,8 +168,6 @@ pub struct AsyncEngineBuilder {
     speed_skew: f64,
     speed_seed: u64,
     check_invariants: bool,
-    shared_analysis: bool,
-    warm_start: bool,
     trace_capacity: Option<usize>,
     recycled: Option<EngineParts>,
 }
@@ -288,21 +288,6 @@ impl AsyncEngineBuilder {
         self
     }
 
-    /// Enables or disables the shared per-tick analysis (default: on).
-    /// See [`crate::engine::EngineBuilder::shared_analysis`]; here the
-    /// shared result additionally serves Compute events whose stored Look
-    /// is still fresh (configuration unchanged since the Look).
-    pub fn shared_analysis(mut self, on: bool) -> Self {
-        self.shared_analysis = on;
-        self
-    }
-
-    /// Enables or disables Weiszfeld warm-starting (default: on).
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Bounds how many per-tick records the trace retains (default:
     /// unbounded). Aggregates keep covering the whole run.
     ///
@@ -350,17 +335,12 @@ impl AsyncEngineBuilder {
         canon_order.clear();
         // Identical reset-to-fresh contract as the round-based engine.
         analysis_cache.reset();
-        analysis_cache.set_warm_start(self.warm_start);
         scratch.config.copy_from_slice(&positions);
-        let started_bivalent = if self.shared_analysis {
-            analysis_cache
-                .analyse(&scratch.config, self.tol)
-                .analysis
-                .class
-                == Class::Bivalent
-        } else {
-            classify(&scratch.config, self.tol).class == Class::Bivalent
-        };
+        let started_bivalent = analysis_cache
+            .analyse(&scratch.config, self.tol)
+            .analysis
+            .class
+            == Class::Bivalent;
         let mut speeds = vec![1.0; n];
         if self.speed_skew > 0.0 {
             let mut rng = Rng::seed_from_u64(self.speed_seed);
@@ -396,10 +376,10 @@ impl AsyncEngineBuilder {
                 frame_source: FrameSource::new(self.frames),
                 tol: self.tol,
                 delta: self.delta,
-                shared_analysis: self.shared_analysis,
+                shared_analysis: true,
                 check_invariants: self.check_invariants,
                 started_bivalent,
-                incremental: false,
+                incremental: true,
                 pending_dirty: Vec::new(),
                 canon_order,
                 analysis_cache,
@@ -512,8 +492,6 @@ impl AsyncEngine {
             speed_skew: 0.0,
             speed_seed: 0,
             check_invariants: true,
-            shared_analysis: true,
-            warm_start: true,
             trace_capacity: None,
             recycled: None,
         }
@@ -671,9 +649,7 @@ impl AsyncEngine {
     /// tick (returns `true`); split out of [`AsyncEngine::step`] so the
     /// batch buffer can be lent immutably while `self` stays mutable.
     fn process_batch(&mut self, now: f64, batch: &[crate::events::Event]) -> bool {
-        let classify_before = classify_invocations();
-        let weiszfeld_before = weiszfeld_iterations();
-        let hits_before = self.core.analysis_cache.hits();
+        let window = self.core.open_round(self.tick);
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut travel = 0.0;
 
@@ -891,18 +867,14 @@ impl AsyncEngine {
 
         // Phase F — the tick's trace record, field-compatible with the
         // round engine's (tick index as `round`, lookers as `activated`).
-        let record = &mut self.last_record;
-        record.round = self.tick;
-        record.class = class;
-        record.distinct = scratch.distinct.len();
-        record.max_mult = scratch.distinct.iter().map(|(_, m)| *m).max().unwrap_or(0);
-        record.activated.clone_from(&scratch.activated);
-        record.crashed.clone_from(&scratch.crashed_now);
-        record.travel = travel;
-        record.classifications = classify_invocations() - classify_before;
-        record.cache_hits = self.core.analysis_cache.hits() - hits_before;
-        record.weiszfeld_iters = weiszfeld_iterations() - weiszfeld_before;
-        self.trace.push_cloned(&self.last_record);
+        self.core.close_round(
+            window,
+            class,
+            travel,
+            &scratch,
+            &mut self.last_record,
+            &mut self.trace,
+        );
         self.tick += 1;
         self.scratch = scratch;
         true
@@ -1137,6 +1109,84 @@ mod tests {
         // The next batch is the arrivals: all at rest again.
         let _ = e.step();
         assert!((0..4).all(|i| e.at_rest(i)));
+    }
+
+    /// Heads for the analysis target when the snapshot carries one and
+    /// classifies its own (possibly stale) view otherwise — the contract
+    /// of the real algorithm, so both analysis routes carry the run.
+    struct ClassTarget;
+    impl Algorithm for ClassTarget {
+        fn name(&self) -> &'static str {
+            "class-target"
+        }
+        fn destination(&self, snap: &Snapshot) -> Point {
+            let analysis = match snap.analysis() {
+                Some(a) => *a,
+                None => gather_config::classify(snap.config(), Tol::default()),
+            };
+            analysis.target.unwrap_or(snap.me())
+        }
+    }
+
+    #[test]
+    fn incremental_path_matches_the_full_recompute_off_the_atomic_corner() {
+        let spiral: Vec<Point> = (0..12)
+            .map(|i| {
+                let th = 0.7 * i as f64;
+                let r = 1.0 + 0.3 * i as f64;
+                Point::new(r * th.cos(), r * th.sin())
+            })
+            .collect();
+        let phased = Timing::Phased {
+            compute_time: 0.3,
+            speed: 1.0,
+        };
+        let non_rigid = Rigidity::NonRigid {
+            stop_prob: 0.3,
+            seed: 23,
+        };
+        for timing in [Timing::Atomic, phased] {
+            for rigidity in [Rigidity::Rigid, non_rigid] {
+                for audits in [false, true] {
+                    let run = |incremental: bool| {
+                        let mut e = AsyncEngine::builder(spiral.clone())
+                            .algorithm(ClassTarget)
+                            .timing(timing)
+                            .pacing(Pacing::Exponential {
+                                rate: 2.0,
+                                seed: 21,
+                            })
+                            .rigidity(rigidity)
+                            .speed_skew(1.0, 22)
+                            .crash_plan(CrashAtRounds::new(vec![(1, 3), (6, 7), (12, 0)]))
+                            .check_invariants(audits)
+                            .build();
+                        e.core.incremental = incremental;
+                        let outcome = e.run(20_000);
+                        let (computed, hits, dirty_skips) = e.analysis_cache_stats();
+                        let run = (
+                            outcome,
+                            e.positions().to_vec(),
+                            e.alive().to_vec(),
+                            e.trace().to_jsonl(),
+                            e.violations().to_vec(),
+                            e.events_processed(),
+                            (computed, hits),
+                        );
+                        (run, dirty_skips)
+                    };
+                    let tag = format!("{timing:?} / {rigidity:?} / audits {audits}");
+                    let (incremental, dirty_skips) = run(true);
+                    let (reference, ref_dirty_skips) = run(false);
+                    assert!(incremental.0.gathered(), "{tag}: {:?}", incremental.0);
+                    let crashed = incremental.2.iter().filter(|a| !**a).count();
+                    assert_eq!(crashed, 3, "{tag}: every planned crash lands");
+                    assert!(dirty_skips > 0, "{tag}: the incremental path never skipped");
+                    assert_eq!(ref_dirty_skips, 0, "{tag}: the reference never skips");
+                    assert_eq!(incremental, reference, "{tag}: the paths diverged");
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,11 +35,9 @@ use crate::metrics::{summarize, CacheStats, RunMetrics};
 use crate::motion::{FullMotion, MotionAdversary};
 use crate::scheduler::{EveryRobot, Scheduler};
 use crate::trace::{RoundRecord, Trace};
-use gather_config::{
-    classify, classify_invocations, AnalysisCache, Class, Configuration, RoundAnalysis,
-};
+use gather_config::{AnalysisCache, Class, Configuration, RoundAnalysis};
 use gather_geom::soa::masked_max_dist2;
-use gather_geom::{weiszfeld_iterations, Point, Tol};
+use gather_geom::{Point, Tol};
 
 /// One scenario for lockstep execution: the subset of the
 /// [`EngineBuilder`](crate::engine::EngineBuilder) surface that batch
@@ -50,7 +48,11 @@ use gather_geom::{weiszfeld_iterations, Point, Tol};
 /// execution use none of them, and each would smuggle per-lane state into
 /// the shared arena. Scenarios needing those run on the sequential
 /// engine; stale observations are the event-heap
-/// [`AsyncEngine`](crate::async_engine::AsyncEngine)'s domain.
+/// [`AsyncEngine`](crate::async_engine::AsyncEngine)'s domain. Nor are
+/// the builder's analysis switches here: every lane runs the shared,
+/// warm-started, incremental analysis, and the ablations and the
+/// full-recompute reference are built with
+/// [`EngineBuilder`](crate::engine::EngineBuilder).
 pub struct LaneSpec {
     /// Initial robot positions (canonicalised on admission, exactly as the
     /// builder does).
@@ -71,14 +73,6 @@ pub struct LaneSpec {
     pub delta: f64,
     /// Run the per-round invariant audits (default on).
     pub check_invariants: bool,
-    /// Share the per-round analysis across robots (default on).
-    pub shared_analysis: bool,
-    /// Warm-start Weiszfeld from the previous Weber point (default on).
-    pub warm_start: bool,
-    /// Incremental dirty-tracked re-analysis (default off — the
-    /// full-recompute reference path), matching
-    /// [`EngineBuilder::incremental`](crate::engine::EngineBuilder::incremental).
-    pub incremental: bool,
     /// Round limit: the lane retires `RoundLimit` when it steps this many
     /// rounds without gathering (default 10 000).
     pub max_rounds: u64,
@@ -93,7 +87,7 @@ pub struct LaneSpec {
 impl LaneSpec {
     /// A spec with the engine builder's defaults: every robot activated,
     /// no crashes, full motion, random frames, default tolerances,
-    /// `δ = 0.01`, audits and the shared-analysis pipeline on.
+    /// `δ = 0.01`, audits on.
     pub fn new(initial: Vec<Point>, algorithm: Box<dyn Algorithm>) -> Self {
         LaneSpec {
             initial,
@@ -105,9 +99,6 @@ impl LaneSpec {
             tol: Tol::default(),
             delta: 0.01,
             check_invariants: true,
-            shared_analysis: true,
-            warm_start: true,
-            incremental: false,
             max_rounds: 10_000,
             traced: false,
         }
@@ -322,7 +313,7 @@ impl BatchEngine {
 
     /// Admits one spec into a free column slot, replicating
     /// `EngineBuilder::build` exactly: canonicalise, reset-and-seed the
-    /// recycled analysis cache, pre-classify for the bivalent flag.
+    /// recycled analysis cache with the bivalent pre-check's analysis.
     fn admit(&mut self, index: usize, spec: LaneSpec) {
         assert!(
             !spec.initial.is_empty(),
@@ -335,30 +326,24 @@ impl BatchEngine {
         let n = positions.len();
         let mut cache = self.spare_caches.pop().unwrap_or_default();
         cache.reset();
-        cache.set_warm_start(spec.warm_start);
         let mut canon_order = self.spare_orders.pop().unwrap_or_default();
         canon_order.clear();
-        self.scratch.config.copy_from_slice(&positions);
-        // The builder's bivalent pre-check: through the cache when the
-        // shared pipeline is on (so round 0 hits the memo), by direct
-        // classification in the ablation mode. The admission memo
-        // substitutes for the cache's own fresh-miss computation — a fresh
-        // cache computes with no warm-start hint, so the memoized analysis
-        // is the exact value it would have produced.
-        let started_bivalent = if spec.shared_analysis {
-            let analysis = match &self.memo {
-                Some((pts, tol, ra)) if *tol == spec.tol && *pts == positions => *ra,
-                _ => {
-                    let ra = RoundAnalysis::compute(&self.scratch.config, spec.tol);
-                    self.memo = Some((positions.clone(), spec.tol, ra));
-                    ra
-                }
-            };
-            cache.seed(&positions, analysis);
-            analysis.analysis.class == Class::Bivalent
-        } else {
-            classify(&self.scratch.config, spec.tol).class == Class::Bivalent
+        // The builder's bivalent pre-check goes through the cache, so
+        // round 0 hits the memo. The admission memo substitutes for the
+        // cache's own fresh-miss computation — a fresh cache computes with
+        // no warm-start hint, so the memoized analysis is the exact value
+        // it would have produced.
+        let analysis = match &self.memo {
+            Some((pts, tol, ra)) if *tol == spec.tol && *pts == positions => *ra,
+            _ => {
+                self.scratch.config.copy_from_slice(&positions);
+                let ra = RoundAnalysis::compute(&self.scratch.config, spec.tol);
+                self.memo = Some((positions.clone(), spec.tol, ra));
+                ra
+            }
         };
+        cache.seed(&positions, analysis);
+        let started_bivalent = analysis.analysis.class == Class::Bivalent;
         let slot = self.free_slots.pop().expect("admit with no free slot");
         let base = slot * self.stride;
         for (j, p) in positions.iter().enumerate() {
@@ -388,10 +373,10 @@ impl BatchEngine {
                 frame_source: FrameSource::new(spec.frames),
                 tol: spec.tol,
                 delta: spec.delta,
-                shared_analysis: spec.shared_analysis,
+                shared_analysis: true,
                 check_invariants: spec.check_invariants,
                 started_bivalent,
-                incremental: spec.incremental,
+                incremental: true,
                 pending_dirty: Vec::new(),
                 canon_order,
                 analysis_cache: cache,
@@ -479,11 +464,10 @@ impl BatchEngine {
 
         // One step: the engine's stage sequence verbatim, over the shared
         // arena, with the columns as position storage on both ends. The
-        // counter windows match `Engine::step` — everything between the
-        // reads below runs contiguously on this thread for this lane.
-        let classify_before = classify_invocations();
-        let weiszfeld_before = weiszfeld_iterations();
-        let hits_before = lane.core.analysis_cache.hits();
+        // counter window matches `Engine::step` — everything between its
+        // opening and closing runs contiguously on this thread for this
+        // lane.
+        let window = lane.core.open_round(lane.round);
         self.aos.clear();
         self.aos
             .extend(xs.iter().zip(ys).map(|(&x, &y)| Point::new(x, y)));
@@ -520,24 +504,14 @@ impl BatchEngine {
                 &mut lane.violations,
             );
         }
-        let record = &mut lane.record;
-        record.round = lane.round;
-        record.class = class;
-        record.distinct = self.scratch.distinct.len();
-        record.max_mult = self
-            .scratch
-            .distinct
-            .iter()
-            .map(|(_, m)| *m)
-            .max()
-            .unwrap_or(0);
-        record.activated.clone_from(&self.scratch.activated);
-        record.crashed.clone_from(&self.scratch.crashed_now);
-        record.travel = travel;
-        record.classifications = classify_invocations() - classify_before;
-        record.cache_hits = lane.core.analysis_cache.hits() - hits_before;
-        record.weiszfeld_iters = weiszfeld_iterations() - weiszfeld_before;
-        lane.trace.push_cloned(&lane.record);
+        lane.core.close_round(
+            window,
+            class,
+            travel,
+            &self.scratch,
+            &mut lane.record,
+            &mut lane.trace,
+        );
         lane.round += 1;
         None
     }
@@ -578,7 +552,10 @@ mod tests {
         s
     }
 
-    fn sequential_with_trace(s: LaneSpec) -> (LaneResult, String) {
+    /// A lane's sequential twin: an `Engine` built from the same spec, on
+    /// the incremental path every lane runs or on the full-recompute
+    /// reference.
+    fn sequential_with_trace(s: LaneSpec, incremental: bool) -> (LaneResult, String) {
         let mut e = Engine::builder(s.initial)
             .algorithm(s.algorithm)
             .scheduler(s.scheduler)
@@ -588,9 +565,7 @@ mod tests {
             .tol(s.tol)
             .delta(s.delta)
             .check_invariants(s.check_invariants)
-            .shared_analysis(s.shared_analysis)
-            .warm_start(s.warm_start)
-            .incremental(s.incremental)
+            .incremental(incremental)
             .build();
         let outcome = e.run(s.max_rounds);
         let mut metrics = summarize(outcome, e.trace());
@@ -611,7 +586,7 @@ mod tests {
     }
 
     fn sequential(s: LaneSpec) -> LaneResult {
-        sequential_with_trace(s).0
+        sequential_with_trace(s, true).0
     }
 
     #[test]
@@ -667,27 +642,20 @@ mod tests {
 
     #[test]
     fn incremental_lanes_match_sequential_and_reference() {
-        let mk = |incremental: bool, audits: bool| {
+        let mk = |audits: bool| {
             let mut s = spec(9, 1.7, 300);
             s.scheduler = Box::new(RoundRobin::new(2));
             s.check_invariants = audits;
-            s.incremental = incremental;
             s
         };
         for audits in [false, true] {
-            let reference = sequential(mk(false, audits));
-            let mut seq_inc = sequential(mk(true, audits));
-            let got = BatchEngine::new(2, EngineParts::default())
-                .run(vec![mk(true, audits), mk(false, audits)]);
+            let reference = sequential_with_trace(mk(audits), false).0;
+            let mut seq_inc = sequential(mk(audits));
+            let got = BatchEngine::new(2, EngineParts::default()).run(vec![mk(audits), mk(audits)]);
             // Batch lanes ≡ their sequential twins, exactly.
-            assert_eq!(
-                got[0], seq_inc,
-                "audits={audits}: incremental lane diverged"
-            );
-            assert_eq!(
-                got[1], reference,
-                "audits={audits}: reference lane diverged"
-            );
+            for lane in &got {
+                assert_eq!(*lane, seq_inc, "audits={audits}: lane diverged");
+            }
             // Incremental ≡ reference up to the dirty-skip counter, which
             // only the incremental path reports (a subset of its hits).
             let inc_stats = seq_inc.metrics.analysis_cache.expect("stats attached");
@@ -712,8 +680,8 @@ mod tests {
             s.traced = on;
             s
         };
-        let (seq_a, jsonl_a) = sequential_with_trace(spec(5, 0.2, 100));
-        let (seq_b, jsonl_b) = sequential_with_trace(spec(8, 4.0, 100));
+        let (seq_a, jsonl_a) = sequential_with_trace(spec(5, 0.2, 100), true);
+        let (seq_b, jsonl_b) = sequential_with_trace(spec(8, 4.0, 100), true);
 
         // Width 1 serialises the lanes, so the second run's lanes must
         // recycle the first run's retired traces with the roles swapped.

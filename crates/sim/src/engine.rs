@@ -123,12 +123,60 @@ pub(crate) struct StepCore {
     /// The incremental path's kept lexicographic order of the current
     /// canonical positions (`gather_config::lex_order_into`), repaired
     /// for the changed indices on every apply instead of re-sorted. Empty
-    /// until the first apply builds it.
+    /// until an apply sorts afresh: the first one, and the one after
+    /// canonicalisation moved robots.
     pub(crate) canon_order: Vec<usize>,
     pub(crate) analysis_cache: AnalysisCache,
 }
 
+/// The counter readings a round's [`RoundRecord`] reports as deltas,
+/// taken by [`StepCore::open_round`] before the round's (or async tick's)
+/// first stage and consumed by [`StepCore::close_round`] after its last.
+pub(crate) struct RoundWindow {
+    round: u64,
+    classifications: u64,
+    weiszfeld_iters: u64,
+    cache_hits: u64,
+}
+
 impl StepCore {
+    /// Opens round `round`'s counter window.
+    pub(crate) fn open_round(&self, round: u64) -> RoundWindow {
+        RoundWindow {
+            round,
+            classifications: classify_invocations(),
+            weiszfeld_iters: weiszfeld_iterations(),
+            cache_hits: self.analysis_cache.hits(),
+        }
+    }
+
+    /// Closes `window`: fills `record` from the round's class and travel,
+    /// the stage results left in `scratch` (distinct locations, activated
+    /// and crashed robots) and the counter deltas, then appends it to
+    /// `trace`. The one record fill of all three drivers, so their traces
+    /// agree field for field.
+    pub(crate) fn close_round(
+        &self,
+        window: RoundWindow,
+        class: Class,
+        travel: f64,
+        scratch: &Scratch,
+        record: &mut RoundRecord,
+        trace: &mut Trace,
+    ) {
+        record.round = window.round;
+        record.class = class;
+        record.distinct = scratch.distinct.len();
+        record.max_mult = scratch.distinct.iter().map(|(_, m)| *m).max().unwrap_or(0);
+        record.activated.clone_from(&scratch.activated);
+        record.crashed.clone_from(&scratch.crashed_now);
+        record.travel = travel;
+        record.classifications = classify_invocations() - window.classifications;
+        record.cache_hits = self.analysis_cache.hits() - window.cache_hits;
+        record.weiszfeld_iters = weiszfeld_iterations() - window.weiszfeld_iters;
+        trace.push_cloned(record);
+    }
+
     /// The single shared analysis of the start-of-round configuration
     /// (already loaded into `scratch.config`) and the round's class. `None`
     /// analysis in the ablation mode: each consumer then classifies for
@@ -283,10 +331,12 @@ impl StepCore {
     /// The incremental path keeps the lexicographic order of the canonical
     /// positions across rounds: it repairs the order for the robots that
     /// moved (the bitwise diff of `prev` against the pending positions),
-    /// canonicalises through it, repairs it again for the robots
-    /// canonicalisation moved, and records the diff of `prev` against the
+    /// canonicalises through it, and records the diff of `prev` against the
     /// canonical output as the analysis cache's pending dirty set for the
-    /// next `analyse_dirty` call.
+    /// next `analyse_dirty` call. When canonicalisation moves robots (a
+    /// merge), the order is dropped and the next apply sorts afresh: a
+    /// merge usually shifts a whole stack, whose repair costs about as much
+    /// as the sort.
     pub(crate) fn stage_apply(&mut self, prev: &[Point], scratch: &mut Scratch) {
         let snap = self.tol.snap;
         if !self.incremental {
@@ -322,7 +372,7 @@ impl StepCore {
         // Unless canonicalisation moved someone, the output is the pending
         // positions and `pending` already holds its diff against `prev`.
         if !dirty.is_empty() {
-            lex_order_update(canon_out, dirty, order, canon);
+            order.clear();
             diff_indices(prev, canon_out, pending);
         }
     }
@@ -526,7 +576,6 @@ pub struct EngineBuilder {
     incremental: bool,
     reuse_buffers: bool,
     trace_capacity: Option<usize>,
-    position_log_capacity: Option<usize>,
     recycled: Option<EngineParts>,
     obs: Option<EngineObs>,
 }
@@ -625,20 +674,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables incremental dirty-tracked re-analysis
-    /// (default: off — the full-recompute reference path).
+    /// Selects the incremental dirty-tracked re-analysis every engine
+    /// driver runs (default: on) or, with `false`, the full-recompute
+    /// reference it is checked against (tests and `b11_largen` only).
     ///
-    /// When on, the engine tracks which robots moved each round (a bitwise
-    /// positional diff) and patches the previous round's work instead of
-    /// rebuilding it: canonicalisation only re-clusters dirty robots when
-    /// the previous output was snap-separated, the distinct multiset
-    /// `U(C)` is maintained by per-index edits inside the analysis cache,
-    /// rounds where no robot moved skip classification entirely, and the
-    /// Weiszfeld solve keeps its warm start. Crashed robots stop moving
-    /// and so drop out of the dirty set on their own — no special casing.
-    /// Bit-identical to the reference path by construction; the
-    /// `incremental_analysis` property suite and `b11_largen` enforce it.
-    /// See DESIGN.md §15 for the cacheability invariants.
+    /// The incremental path diffs the positions each round and patches the
+    /// previous round's work: canonicalisation sweeps a lexicographic order
+    /// kept across rounds, the analysis cache edits the distinct multiset
+    /// `U(C)` at the changed indices, and a round where nothing moved skips
+    /// classification. Crashed robots stop moving and so drop out of the
+    /// diff on their own. The two paths are bit-identical except for the
+    /// `dirty_skips` cache counter, which only the incremental path counts;
+    /// see DESIGN.md §15.
     pub fn incremental(mut self, on: bool) -> Self {
         self.incremental = on;
         self
@@ -666,21 +713,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Bounds how many per-round position snapshots the position log keeps
-    /// (a ring buffer over the most recent rounds; default: unbounded).
-    /// Only meaningful together with [`EngineBuilder::record_positions`].
-    ///
-    /// # Panics
-    ///
-    /// `build` panics if `capacity == 0`.
-    pub fn position_log_capacity(mut self, capacity: usize) -> Self {
-        self.position_log_capacity = Some(capacity);
-        self
-    }
-
     /// Records the full position log (one snapshot per round) for
     /// visualisation and post-hoc analysis (default: off — memory grows
-    /// linearly with rounds × robots unless a capacity bound is set).
+    /// linearly with rounds × robots).
     pub fn record_positions(mut self, on: bool) -> Self {
         self.record_positions = on;
         self
@@ -763,9 +798,6 @@ impl EngineBuilder {
         }
         let mut trace = Trace::new();
         trace.set_capacity(self.trace_capacity);
-        if let Some(cap) = self.position_log_capacity {
-            assert!(cap > 0, "position-log capacity must be positive");
-        }
         Engine {
             positions,
             alive: vec![true; n],
@@ -793,7 +825,6 @@ impl EngineBuilder {
                 Vec::new()
             },
             record_positions: self.record_positions,
-            position_log_capacity: self.position_log_capacity,
             trace,
             violations: Vec::new(),
             reuse_buffers: self.reuse_buffers,
@@ -833,7 +864,6 @@ pub struct Engine {
     core: StepCore,
     position_log: Vec<Vec<Point>>,
     record_positions: bool,
-    position_log_capacity: Option<usize>,
     trace: Trace,
     violations: Vec<String>,
     reuse_buffers: bool,
@@ -859,10 +889,9 @@ impl Engine {
             check_invariants: true,
             shared_analysis: true,
             warm_start: true,
-            incremental: false,
+            incremental: true,
             reuse_buffers: true,
             trace_capacity: None,
-            position_log_capacity: None,
             recycled: None,
             obs: None,
         }
@@ -998,9 +1027,7 @@ impl Engine {
     /// Executes one round and returns its record (borrowed from the
     /// engine; also appended to the [`Trace`]).
     pub fn step(&mut self) -> &RoundRecord {
-        let classify_before = classify_invocations();
-        let weiszfeld_before = weiszfeld_iterations();
-        let hits_before = self.core.analysis_cache.hits();
+        let window = self.core.open_round(self.round);
         // Phase attribution. With instrumentation absent or disabled the
         // timer holds no `Instant` and every lap below is one branch — the
         // whole disabled cost of the round, keeping the ≤2% overhead
@@ -1053,16 +1080,7 @@ impl Engine {
         std::mem::swap(&mut self.positions, &mut scratch.canon_out);
 
         if self.record_positions {
-            match self.position_log_capacity {
-                Some(cap) if self.position_log.len() >= cap => {
-                    self.position_log.rotate_left(1);
-                    self.position_log
-                        .last_mut()
-                        .expect("capacity > 0")
-                        .clone_from(&self.positions);
-                }
-                _ => self.position_log.push(self.positions.clone()),
-            }
+            self.position_log.push(self.positions.clone());
         }
         timer.lap(Phase::Move);
 
@@ -1078,18 +1096,14 @@ impl Engine {
         }
         timer.lap(Phase::Invariants);
 
-        let record = &mut self.last_record;
-        record.round = self.round;
-        record.class = class;
-        record.distinct = scratch.distinct.len();
-        record.max_mult = scratch.distinct.iter().map(|(_, m)| *m).max().unwrap_or(0);
-        record.activated.clone_from(&scratch.activated);
-        record.crashed.clone_from(&scratch.crashed_now);
-        record.travel = travel;
-        record.classifications = classify_invocations() - classify_before;
-        record.cache_hits = self.core.analysis_cache.hits() - hits_before;
-        record.weiszfeld_iters = weiszfeld_iterations() - weiszfeld_before;
-        self.trace.push_cloned(&self.last_record);
+        self.core.close_round(
+            window,
+            class,
+            travel,
+            &scratch,
+            &mut self.last_record,
+            &mut self.trace,
+        );
         if timing {
             // Carve the solver's own wall time (thread-local counter in
             // gather-geom) out of the classification lap it ran inside;
@@ -1344,21 +1358,36 @@ mod tests {
     fn shared_analysis_classifies_at_most_twice_per_round() {
         // The acceptance bound of the shared pipeline: one classification
         // for the round's shared analysis + at most one for the post-move
-        // audit, independent of the robot count.
-        let mut e = Engine::builder(spiral(32)).algorithm(ClassTarget).build();
-        for _ in 0..20 {
-            let rec = e.step();
-            assert!(
-                rec.classifications <= 2,
-                "round {} used {} classifications (n = 32)",
-                rec.round,
-                rec.classifications
-            );
-        }
-        let (computed, hits, dirty_skips) = e.analysis_cache_stats();
+        // audit, independent of the robot count — on the default path and
+        // on the full-recompute reference, which must agree on every
+        // record and on every cache counter but `dirty_skips`.
+        let run = |incremental: bool| {
+            let mut e = Engine::builder(spiral(32))
+                .algorithm(ClassTarget)
+                .incremental(incremental)
+                .build();
+            let mut records = Vec::new();
+            for _ in 0..20 {
+                let rec = e.step();
+                assert!(
+                    rec.classifications <= 2,
+                    "round {} used {} classifications (n = 32, incremental {incremental})",
+                    rec.round,
+                    rec.classifications
+                );
+                records.push(rec.clone());
+            }
+            (records, e.analysis_cache_stats())
+        };
+        let (records, (computed, hits, _)) = run(true);
+        let (ref_records, (ref_computed, ref_hits, ref_dirty_skips)) = run(false);
         assert!(computed > 0);
         assert!(hits > 0, "audit-then-step reuse never hit the cache");
-        assert_eq!(dirty_skips, 0, "reference path never dirty-skips");
+        assert_eq!(ref_dirty_skips, 0, "reference path never dirty-skips");
+        assert_eq!(
+            (records, computed, hits),
+            (ref_records, ref_computed, ref_hits)
+        );
     }
 
     #[test]
@@ -1531,7 +1560,6 @@ mod tests {
         let mut e = Engine::builder(spiral(16))
             .algorithm(Stay)
             .check_invariants(false)
-            .incremental(true)
             .build();
         for _ in 0..10 {
             e.step();

@@ -72,7 +72,8 @@ cargo run --release --offline -p gather-bench \
 
 echo "== sweep-smoke (B10 vs committed baseline, batch vs sequential) =="
 # Quick B10 run: the columnar mega-sweep engine against the
-# one-engine-per-scenario map path. Always fails if batched RunMetrics
+# one-engine-per-scenario map path, both on the incremental analysis path
+# every engine driver runs. Always fails if batched RunMetrics
 # are not bit-identical to the sequential path at any pool size (the
 # identity pass covers all six configuration classes), if the batched
 # path drops below 2x scenarios/sec at 1 worker, or on a >30% 1-worker
@@ -84,8 +85,10 @@ cargo run --release --offline -p gather-bench \
   --out "$smoke_out"
 
 echo "== largen-smoke (B11 incremental vs full recompute) =="
-# Quick B11 run: the incremental dirty-tracked analysis path against the
-# full-recompute reference at n in {1024, 4096}. Always fails if the two
+# Quick B11 run: the incremental dirty-tracked analysis path every engine
+# driver runs, against the full-recompute reference that tests and this
+# gate select with EngineBuilder::incremental(false), at n in
+# {1024, 4096}. Always fails if the two
 # modes are not bit-identical (positions and cache counters) or if the
 # incremental speedup drops below 3x at n = 4096 — both gates compare
 # the modes against each other on the same box, so they hold on any
