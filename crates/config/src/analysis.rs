@@ -176,6 +176,11 @@ pub struct AnalysisCache {
     last_weber: Option<Point>,
     /// Sorting scratch for rebuilding the entry's distinct multiset.
     sort_buf: Vec<Point>,
+    /// Scratch of [`AnalysisCache::analyse_dirty`]: the positions the
+    /// dirty robots left and arrived at, and the merged multiset.
+    left: Vec<Point>,
+    arrived: Vec<Point>,
+    merged: Vec<(Point, usize)>,
 }
 
 impl Default for AnalysisCache {
@@ -188,6 +193,9 @@ impl Default for AnalysisCache {
             warm_start: true,
             last_weber: None,
             sort_buf: Vec::new(),
+            left: Vec::new(),
+            arrived: Vec::new(),
+            merged: Vec::new(),
         }
     }
 }
@@ -223,6 +231,71 @@ impl Entry {
         }
         self.distinct_valid = true;
     }
+}
+
+/// Applies a batch of moves to a distinct multiset in
+/// [`Configuration::distinct_into`] order: one robot left each position in
+/// `left` and one arrived at each position in `arrived`. Both lists are
+/// sorted and merged with the multiset in one pass, O(|U| + d log d) for
+/// d moves, where patching entry by entry with `Vec::remove` and
+/// `Vec::insert` cost O(d·|U|). The result is the patched multiset: an
+/// entry whose count falls to zero leaves, an arrival at a held position
+/// raises its count, and an arrival elsewhere becomes an entry of its own.
+/// Positions compare with `Point::lex_cmp`, as the multiset is sorted;
+/// canonical configurations hold no NaN and no −0.0, on which `==` and
+/// `lex_cmp` agree.
+///
+/// # Panics
+///
+/// Panics if a position in `left` is not held often enough: the dirty set
+/// lied about the previous configuration.
+fn merge_moves(
+    distinct: &mut Vec<(Point, usize)>,
+    left: &mut [Point],
+    arrived: &mut [Point],
+    merged: &mut Vec<(Point, usize)>,
+) {
+    left.sort_unstable_by(|a, b| a.lex_cmp(*b));
+    arrived.sort_unstable_by(|a, b| a.lex_cmp(*b));
+    // Appends an arrival, joining the previous arrival at the same spot.
+    let put = |merged: &mut Vec<(Point, usize)>, p: Point| match merged.last_mut() {
+        Some((q, m)) if q.lex_cmp(p).is_eq() => *m += 1,
+        _ => merged.push((p, 1)),
+    };
+    merged.clear();
+    let (mut l, mut a) = (0, 0);
+    for &(p, held) in distinct.iter() {
+        while a < arrived.len() && arrived[a].lex_cmp(p).is_lt() {
+            put(merged, arrived[a]);
+            a += 1;
+        }
+        let mut m = held;
+        while l < left.len() && left[l].lex_cmp(p).is_eq() {
+            m = m
+                .checked_sub(1)
+                .expect("stale dirty set: more robots left a position than it held");
+            l += 1;
+        }
+        assert!(
+            l == left.len() || left[l].lex_cmp(p).is_gt(),
+            "stale dirty set: an old position is not memoized"
+        );
+        while a < arrived.len() && arrived[a].lex_cmp(p).is_eq() {
+            m += 1;
+            a += 1;
+        }
+        if m > 0 {
+            merged.push((p, m));
+        }
+    }
+    assert!(
+        l == left.len(),
+        "stale dirty set: an old position is not memoized"
+    );
+    for &p in &arrived[a..] {
+        put(merged, p);
+    }
+    std::mem::swap(distinct, merged);
 }
 
 impl AnalysisCache {
@@ -294,9 +367,10 @@ impl AnalysisCache {
     ///   fingerprint-checked memo hit the reference path records, plus a
     ///   `dirty_skips` tick).
     /// * Non-empty — the memoized distinct-location multiset is patched at
-    ///   the dirty indices (O(|dirty|·log n) instead of an O(n log n)
-    ///   re-sort; built for `config` outright when the entry holds none
-    ///   yet, after a plain miss or a seed) and classification resumes
+    ///   the dirty indices (one merge, O(|U| + d log d) for d moved robots,
+    ///   instead of an O(n log n) re-sort; built for `config` outright when
+    ///   the entry holds none yet, after a plain miss or a seed) and
+    ///   classification resumes
     ///   from it via
     ///   [`classify_hinted_with_distinct`], with the same warm-start hint
     ///   policy as a plain miss; `computed`/`hits` and the classify and
@@ -354,27 +428,21 @@ impl AnalysisCache {
                 }
                 e.rebuild_distinct(&mut self.sort_buf);
             }
+            let (left, arrived) = (&mut self.left, &mut self.arrived);
+            left.clear();
+            arrived.clear();
             for &i in dirty {
                 let old = e.points[i];
                 let new = config.points()[i];
                 if old.x.to_bits() == new.x.to_bits() && old.y.to_bits() == new.y.to_bits() {
                     continue;
                 }
-                match e.distinct.binary_search_by(|probe| probe.0.lex_cmp(old)) {
-                    Ok(pos) => {
-                        if e.distinct[pos].1 == 1 {
-                            e.distinct.remove(pos);
-                        } else {
-                            e.distinct[pos].1 -= 1;
-                        }
-                    }
-                    Err(_) => panic!("stale dirty set: old position of robot {i} not memoized"),
-                }
-                match e.distinct.binary_search_by(|probe| probe.0.lex_cmp(new)) {
-                    Ok(pos) => e.distinct[pos].1 += 1,
-                    Err(pos) => e.distinct.insert(pos, (new, 1)),
-                }
+                left.push(old);
+                arrived.push(new);
                 e.points[i] = new;
+            }
+            if !left.is_empty() {
+                merge_moves(&mut e.distinct, left, arrived, &mut self.merged);
             }
         }
         let e = self.entry.as_ref().expect("usable entry");
@@ -687,6 +755,52 @@ mod tests {
         let gathered = Configuration::new(vec![Point::new(0.0, 0.0); 4]);
         seq.push(gathered);
         assert_dirty_tracks_reference(&seq);
+
+        // Nearly every robot dirty at once, as under phased ASYNC timing:
+        // each step moves all robots but one, onto each other's old spots
+        // (stacks form, split and swap), part way toward the centre, or off
+        // into the open, so every kind of merge step occurs in one batch.
+        let mut rng = gather_prng::Rng::seed_from_u64(0xD127);
+        for n in [6usize, 17, 40] {
+            let mut c = Configuration::canonical(scatter(&mut rng, n), t());
+            let mut seq = vec![c.clone()];
+            for step in 0..12 {
+                let keep = rng.random_range(0..n);
+                let prev = c.clone();
+                for i in (0..n).filter(|&i| i != keep) {
+                    let j = rng.random_range(0..n);
+                    let p = prev.points()[i];
+                    let q = match rng.random_range(0u32..4) {
+                        0 => prev.points()[j],
+                        1 => p.lerp(Point::ORIGIN, 0.5),
+                        2 if step % 3 == 0 => Point::ORIGIN,
+                        _ => Point::new(rng.random_range(-5.0..5.0), rng.random_range(-5.0..5.0)),
+                    };
+                    c.set_point(i, q);
+                }
+                seq.push(c.clone());
+            }
+            assert_dirty_tracks_reference(&seq);
+        }
+    }
+
+    fn scatter(rng: &mut gather_prng::Rng, n: usize) -> Vec<Point> {
+        (0..n)
+            .map(|_| Point::new(rng.random_range(-5.0..5.0), rng.random_range(-5.0..5.0)))
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "stale dirty set")]
+    fn a_stale_memo_panics_instead_of_patching() {
+        let mut cache = AnalysisCache::new();
+        let a = square();
+        cache.analyse_dirty(&a, t(), &[]);
+        // Corrupt the memo: the multiset no longer holds robot 0's spot.
+        cache.entry.as_mut().expect("an entry").distinct[0].0 = Point::new(-9.0, -9.0);
+        let mut b = a.clone();
+        b.set_point(0, Point::new(1.0, 1.0));
+        cache.analyse_dirty(&b, t(), &[0]);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! (`B ∪ M ∪ L ∪ QR ∪ A = P`) is validated empirically by experiment T6.
 
 use crate::configuration::Configuration;
-use crate::quasi::detect_quasi_regularity_hinted;
+use crate::locate::Tail;
+use crate::quasi::detect_in;
+use crate::safe::elect_in;
 use gather_geom::{are_collinear, weber::median_interval_on_line, Point, Tol};
 
 /// The five configuration classes of the paper (`L` split into `L1W` and
@@ -145,8 +147,8 @@ type ClassifyScratch = (Vec<(Point, usize)>, Vec<Point>);
 thread_local! {
     /// Reusable buffers for the early (multiplicity/linearity) phase of
     /// [`classify`], so steady-state class-M rounds classify without any
-    /// heap allocation. Safe as a thread-local because nothing called
-    /// while the borrow is held re-enters `classify`.
+    /// heap allocation. [`classify_hinted`] takes them out for the call
+    /// and puts them back, so no borrow is held while the tail runs.
     static CLASSIFY_SCRATCH: std::cell::RefCell<ClassifyScratch> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -163,10 +165,12 @@ enum Prefix {
 /// Weber point — exact while robots move toward it, Lemma 3.2). Returns
 /// the analysis together with the Weber point the detector computed, if it
 /// ran, so callers (the [`crate::analysis::AnalysisCache`]) can carry it
-/// forward as the next round's hint. The hint only seeds the iteration;
-/// classes that never reach the numeric Weber computation (`B`, `M`, `L1W`,
-/// `L2W`, occupied-centre `QR`) ignore it, which is what makes the warm
-/// start safe across class changes.
+/// forward as the next round's hint. The hint only seeds the iteration,
+/// and centres the probes of the lower bound that decides where the
+/// class-`QR`/`A` searches evaluate exactly, which changes their cost but
+/// no result; classes that never reach the numeric Weber computation
+/// (`B`, `M`, `L1W`, `L2W`, occupied-centre `QR`) ignore it for the
+/// result, which is what makes the warm start safe across class changes.
 pub fn classify_hinted(
     config: &Configuration,
     tol: Tol,
@@ -176,14 +180,15 @@ pub fn classify_hinted(
     assert!(!config.is_empty(), "cannot classify an empty configuration");
     let n = config.len();
 
-    let prefix = CLASSIFY_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let (distinct, pts) = (&mut scratch.0, &mut scratch.1);
-        config.distinct_into(distinct, pts);
-        classify_prefix(distinct, pts, n, tol)
-    });
-
-    classify_tail(prefix, config, tol, weber_hint, n)
+    // Taken out of the thread-local for the call and put back after, so
+    // the tail reads the multiset while no borrow is held.
+    let (mut distinct, mut pts) =
+        CLASSIFY_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
+    config.distinct_into(&mut distinct, &mut pts);
+    let prefix = classify_prefix(&distinct, &mut pts, n, tol);
+    let out = classify_tail(prefix, config, tol, weber_hint, &distinct);
+    CLASSIFY_SCRATCH.with(|cell| *cell.borrow_mut() = (distinct, pts));
+    out
 }
 
 /// [`classify_hinted`] with the distinct-location multiset already in hand
@@ -217,7 +222,7 @@ pub fn classify_hinted_with_distinct(
         classify_prefix(distinct, &mut scratch.1, n, tol)
     });
 
-    classify_tail(prefix, config, tol, weber_hint, n)
+    classify_tail(prefix, config, tol, weber_hint, distinct)
 }
 
 /// The allocation-free early phase shared by [`classify_hinted`] and
@@ -277,14 +282,17 @@ fn classify_prefix(
 
 /// The class-specific completion shared by both classification entry
 /// points: linear median split, quasi-regularity detection, safe-point
-/// election.
+/// election. The last two share one [`Tail`] — the distinct multiset the
+/// prefix read, the SEC and the lower bound on the Weber objective — built
+/// once (DESIGN.md §13 item 8).
 fn classify_tail(
     prefix: Prefix,
     config: &Configuration,
     tol: Tol,
     weber_hint: Option<Point>,
-    n: usize,
+    distinct: &[(Point, usize)],
 ) -> (Analysis, Option<Point>) {
+    let n = config.len();
     match prefix {
         Prefix::Done(analysis) => (analysis, None),
         // Linear configurations, split by Weber-point uniqueness. Linearity
@@ -316,7 +324,8 @@ fn classify_tail(
         }
         Prefix::Open => {
             // QR: quasi-regular configurations.
-            let (qr, weber_seen) = detect_quasi_regularity_hinted(config, tol, weber_hint);
+            let tail = Tail::new(config, distinct, tol, weber_hint);
+            let (qr, weber_seen) = detect_in(&tail);
             if let Some(qr) = qr {
                 return (
                     Analysis {
@@ -341,7 +350,7 @@ fn classify_tail(
                 Analysis {
                     class: Class::Asymmetric,
                     n,
-                    target: crate::safe::elected_point(config, tol),
+                    target: elect_in(&tail),
                     qreg: None,
                 },
                 weber_seen,
@@ -589,6 +598,230 @@ mod tests {
             // Both entry points bump the invocation counter exactly once.
             assert_eq!(mid - before, 1);
             assert_eq!(after - mid, 1);
+        }
+    }
+
+    /// The classification with the class-`A` tail the locate-then-verify
+    /// pass replaced: the full occupied scan and candidate list of
+    /// `detect_quasi_regularity_oracle`, and the ranked election that
+    /// evaluated every distinct position.
+    fn classify_oracle(config: &Configuration, hint: Option<Point>) -> (Analysis, Option<Point>) {
+        let n = config.len();
+        let distinct = config.distinct();
+        let prefix = classify_prefix(&distinct, &mut Vec::new(), n, t());
+        if !matches!(prefix, Prefix::Open) {
+            return classify_tail(prefix, config, t(), hint, &distinct);
+        }
+        let (qr, weber_seen) = crate::quasi::detect_quasi_regularity_oracle(config, t(), hint);
+        let analysis = match qr {
+            Some(qr) => Analysis {
+                class: Class::QuasiRegular,
+                n,
+                target: Some(qr.center),
+                qreg: Some(qr.m),
+            },
+            None => Analysis {
+                class: Class::Asymmetric,
+                n,
+                target: crate::safe::elected_point_ranked_oracle(config, t()),
+                qreg: None,
+            },
+        };
+        (analysis, weber_seen)
+    }
+
+    /// A result's `Debug` text: `f64`'s `Debug` prints the shortest digits
+    /// that read back to the same bits, so equal text is equal bits for
+    /// every finite coordinate and ±0.
+    fn bits(out: impl std::fmt::Debug) -> String {
+        format!("{out:?}")
+    }
+
+    /// Holds classification, quasi-regularity detection and the election
+    /// to their full-scan oracles, cold and warm-started from the Weber
+    /// point, bit for bit. Returns the class.
+    fn assert_matches_the_oracles(c: &Configuration) -> Class {
+        let weber = gather_geom::weber_point_weiszfeld(c.points(), t()).point;
+        let mut class = Class::Multiple;
+        for hint in [None, Some(weber)] {
+            let got = classify_hinted(c, t(), hint);
+            class = got.0.class;
+            assert_eq!(
+                bits(got),
+                bits(classify_oracle(c, hint)),
+                "hint {hint:?}: {c}"
+            );
+            assert_eq!(
+                bits(crate::detect_quasi_regularity_hinted(c, t(), hint)),
+                bits(crate::quasi::detect_quasi_regularity_oracle(c, t(), hint)),
+                "quasi-regularity, hint {hint:?}: {c}"
+            );
+        }
+        // The election by its definition costs a safety test per position:
+        // past a few hundred robots, the ranked oracle (held to it in the
+        // election's own tests) stands in.
+        let election = if c.len() <= 256 {
+            crate::safe::elected_point_oracle
+        } else {
+            crate::safe::elected_point_ranked_oracle
+        };
+        assert_eq!(
+            bits(crate::elected_point(c, t())),
+            bits(election(c, t())),
+            "election: {c}"
+        );
+        class
+    }
+
+    #[test]
+    fn locate_then_verify_matches_the_full_scans_on_the_t4_t6_galleries() {
+        let mut seen = std::collections::BTreeSet::new();
+        for n in [4usize, 6, 8, 12, 16, 24, 32] {
+            for seed in 0..3u64 {
+                let k = (n / 2).max(2);
+                let families = [
+                    gather_workloads::regular_polygon(n, 3.0, seed as f64 * 0.21),
+                    gather_workloads::biangular(k, TAU / (2.3 * k as f64), 2.0, 4.5),
+                    gather_workloads::quasi_regular(k, 2, seed),
+                    gather_workloads::ring_with_center(n.saturating_sub(1).max(3), 1, 3.0),
+                    gather_workloads::asymmetric(n.max(4), seed),
+                ];
+                for pts in families {
+                    seen.insert(assert_matches_the_oracles(&Configuration::canonical(
+                        pts,
+                        t(),
+                    )));
+                }
+            }
+        }
+        for n in [4usize, 6, 9, 12] {
+            for (_, _, pts) in gather_workloads::class_sweep(n, 5) {
+                seen.insert(assert_matches_the_oracles(&Configuration::canonical(
+                    pts,
+                    t(),
+                )));
+            }
+        }
+        for n in [3usize, 4, 5, 6, 8, 12] {
+            for seed in 0..50u64 {
+                let seed = seed.wrapping_mul(31).wrapping_add(n as u64);
+                let pts = gather_workloads::random_scatter(n, 8.0, seed);
+                seen.insert(assert_matches_the_oracles(&Configuration::canonical(
+                    pts,
+                    t(),
+                )));
+            }
+        }
+        assert_eq!(seen.len(), 6, "the galleries reach every class: {seen:?}");
+    }
+
+    #[test]
+    fn locate_then_verify_matches_the_full_scans_on_near_regular_polygons() {
+        // Holes, doubled corners and jitter straddling ANGLE_EPS around a
+        // centre stack, so the occupied centre passes the prefilter or just
+        // fails it, and Lemma 3.4 lands on both sides of its budget.
+        let eps = crate::angles::ANGLE_EPS;
+        let mut rng = gather_prng::Rng::seed_from_u64(0x9E60);
+        let mut centred = 0;
+        for _ in 0..200 {
+            let ring = rng.random_range(3usize..25);
+            let jitter = [0.0, 0.5 * eps, 2.0 * eps, 0.05][rng.random_range(0usize..4)];
+            let mut pts = Vec::new();
+            let mut holes = 0;
+            for k in 0..ring {
+                if rng.random_bool(0.2) {
+                    holes += 1;
+                    continue;
+                }
+                let th = TAU * k as f64 / ring as f64 + jitter * rng.random_range(-1.0..1.0);
+                let r = rng.random_range(1.0..4.0);
+                let copies = if rng.random_bool(0.15) { 2 } else { 1 };
+                pts.extend(std::iter::repeat_n(
+                    Point::new(r * th.cos(), r * th.sin()),
+                    copies,
+                ));
+            }
+            let stack = (holes + rng.random_range(0usize..3))
+                .saturating_sub(1)
+                .max(1);
+            pts.extend(std::iter::repeat_n(Point::ORIGIN, stack));
+            let c = Configuration::new(pts);
+            let class = assert_matches_the_oracles(&c);
+            let a = classify(&c, t());
+            centred += usize::from(class == Class::QuasiRegular && a.target == Some(Point::ORIGIN));
+        }
+        assert!(centred >= 8, "only {centred} occupied centres were found");
+    }
+
+    #[test]
+    fn locate_then_verify_matches_the_full_scans_when_views_and_snap_decide() {
+        let mut rng = gather_prng::Rng::seed_from_u64(0x71E6);
+        for _ in 0..300 {
+            let pts = crate::safe::tests::integer_distance_ties(&mut rng);
+            if pts.len() >= 3 {
+                assert_matches_the_oracles(&Configuration::new(pts));
+            }
+        }
+        // Distinct positions closer than the snap radius: `mult` counts
+        // both, so the election's multiplicity levels differ from the
+        // distinct multiset's counts.
+        let snap = t().snap;
+        let mut twinned = 0;
+        for seed in 0..150u64 {
+            let n = 6 + (seed % 20) as usize;
+            let mut pts = gather_workloads::random_scatter(n, 8.0, 977 * seed + 3);
+            for i in 0..rng.random_range(1usize..4) {
+                let p = pts[i];
+                let d = rng.random_range(0.1..0.9) * snap;
+                pts.push(Point::new(p.x + d, p.y));
+                if rng.random_bool(0.3) {
+                    pts.push(Point::new(p.x, p.y - d));
+                }
+            }
+            let c = Configuration::new(pts);
+            twinned += usize::from(assert_matches_the_oracles(&c) == Class::Asymmetric);
+        }
+        assert!(
+            twinned >= 50,
+            "only {twinned} twinned scatters were class A"
+        );
+    }
+
+    /// `random_scatter(n, 10, seed)` as given, and with its last robot
+    /// moved onto the Weber point of the others.
+    fn scatter_pair(n: usize, seed: u64) -> [Configuration; 2] {
+        let pts = gather_workloads::random_scatter(n, 10.0, seed);
+        let mut centred = pts[..n - 1].to_vec();
+        centred.push(gather_geom::weber_point_weiszfeld(&centred, t()).point);
+        [Configuration::new(pts), Configuration::new(centred)]
+    }
+
+    #[test]
+    fn locate_then_verify_matches_the_full_scans_on_large_scatters() {
+        for (n, seeds) in [(64usize, 4u64), (256, 2), (1024, 1), (4096, 1)] {
+            for seed in 0..seeds {
+                for c in scatter_pair(n, 1_000_003 * seed + n as u64) {
+                    assert_eq!(assert_matches_the_oracles(&c), Class::Asymmetric, "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_a_classification_makes_a_bounded_number_of_point_scans() {
+        // The exact O(n) kernels run only at the few positions near the
+        // Weber point the bound cannot exclude: the count does not grow
+        // with n. The full scans made about 3n of them.
+        for n in [256usize, 1024, 4096] {
+            for seed in [1u64, 80_896_415] {
+                for c in scatter_pair(n, seed) {
+                    let before = gather_geom::soa::point_scans();
+                    let a = classify(&c, t());
+                    let scans = gather_geom::soa::point_scans() - before;
+                    assert_eq!(a.class, Class::Asymmetric);
+                    assert!(scans <= 64, "n={n} seed={seed}: {scans} point scans");
+                }
+            }
         }
     }
 

@@ -315,7 +315,7 @@ fn bitwise_eq(p: Point, q: Point) -> bool {
 /// `f64::total_cmp` as an integer key: the same bit flip `total_cmp`
 /// applies before comparing, so `total_key(a).cmp(&total_key(b))` is
 /// `a.total_cmp(&b)`.
-fn total_key(v: f64) -> i64 {
+pub(crate) fn total_key(v: f64) -> i64 {
     let bits = v.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }

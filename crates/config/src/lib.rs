@@ -44,6 +44,7 @@ pub mod angles;
 pub mod axial;
 pub mod classify;
 pub mod configuration;
+mod locate;
 pub mod quasi;
 pub mod regularity;
 pub mod safe;
@@ -64,7 +65,7 @@ pub use quasi::{
     detect_quasi_regularity, detect_quasi_regularity_hinted, quasi_regular_with_center,
     QuasiRegularity,
 };
-pub use regularity::{regularity_around, RegularityWitness};
+pub use regularity::regularity_around;
 pub use safe::{elected_point, is_safe_point, safe_points};
 pub use symmetry::{rotational_symmetry, rotational_symmetry_dirty, symmetry_classes};
 pub use view::{view_of, View};

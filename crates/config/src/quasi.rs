@@ -22,10 +22,11 @@
 //!   condition and is found among the regularity candidate centres (SEC
 //!   centre, numeric Weber point).
 
-use crate::angles::{center_zone_radius, direction_buckets, ANGLE_EPS};
+use crate::angles::{center_zone_radius, direction_buckets, ANGLE_EPS, CENTER_ZONE_REL};
 use crate::configuration::Configuration;
-use crate::regularity::{candidate_centers_hinted, regularity_around};
-use gather_geom::{Point, Tol};
+use crate::locate::Tail;
+use crate::regularity::regularity_around;
+use gather_geom::{are_collinear, weber_point_weiszfeld, weber_point_weiszfeld_from, Point, Tol};
 use std::f64::consts::TAU;
 
 /// Evidence that a configuration is quasi-regular (Definition 6).
@@ -232,6 +233,62 @@ fn quasi_regular_with_center_oracle(config: &Configuration, p: Point, tol: Tol) 
     best
 }
 
+/// The detection the locate-then-verify pass replaced, kept whole: the
+/// Weber prefilter evaluated at every distinct position, then every
+/// distinct position, the SEC centre and the numeric Weber point as
+/// unoccupied candidates behind an O(n) `mult` check each. The
+/// differential tests hold [`detect_quasi_regularity_hinted`] and the
+/// classification to it.
+#[cfg(test)]
+pub(crate) fn detect_quasi_regularity_oracle(
+    config: &Configuration,
+    tol: Tol,
+    hint: Option<Point>,
+) -> (Option<QuasiRegularity>, Option<Point>) {
+    if config.len() < 2 || config.is_gathered() || config.is_linear(tol) {
+        return (None, None);
+    }
+    let mut best: Option<QuasiRegularity> = None;
+    for (p, _mult) in config.distinct() {
+        let Some(zone_mult) = weber_prefilter(config, p, tol) else {
+            continue;
+        };
+        if let Some(m) = occupied_quasi_regularity(config, p, tol, zone_mult) {
+            if best.is_none_or(|b| m > b.m) {
+                best = Some(QuasiRegularity {
+                    center: p,
+                    m,
+                    center_occupied: true,
+                });
+            }
+        }
+    }
+    if best.is_some() {
+        return (best, None);
+    }
+    let weber = match hint {
+        Some(h) => weber_point_weiszfeld_from(h, config.points(), tol).point,
+        None => weber_point_weiszfeld(config.points(), tol).point,
+    };
+    let mut candidates = config.distinct_points();
+    candidates.push(config.sec().center);
+    candidates.push(weber);
+    for c in candidates {
+        if config.mult(c, tol) > 0 {
+            continue;
+        }
+        let m = regularity_around(config, c, tol);
+        if m > 1 && best.is_none_or(|b| m > b.m) {
+            best = Some(QuasiRegularity {
+                center: c,
+                m,
+                center_occupied: false,
+            });
+        }
+    }
+    (best, Some(weber))
+}
+
 /// Theorem 3.1: detects whether `config` is quasi-regular and, if so,
 /// returns its centre (= Weber point for non-linear configurations) and
 /// quasi-regularity.
@@ -243,7 +300,9 @@ fn quasi_regular_with_center_oracle(config: &Configuration, p: Point, tol: Tol) 
 /// Occupied-centre candidates are tested with the exact combinatorial
 /// criterion of Lemma 3.4; unoccupied candidates (SEC centre, numeric Weber
 /// point) with the string-of-angles periodicity. Occupied centres win ties
-/// because their test is exact.
+/// because their test is exact. A lower bound on the Weber objective
+/// excludes most occupied positions before the exact prefilter runs at
+/// them (DESIGN.md §13 item 8).
 pub fn detect_quasi_regularity(config: &Configuration, tol: Tol) -> Option<QuasiRegularity> {
     detect_quasi_regularity_hinted(config, tol, None).0
 }
@@ -259,24 +318,60 @@ pub fn detect_quasi_regularity_hinted(
     tol: Tol,
     hint: Option<Point>,
 ) -> (Option<QuasiRegularity>, Option<Point>) {
-    if config.len() < 2 || config.is_gathered() || config.is_linear(tol) {
-        return (None, None);
+    let distinct = config.distinct();
+    let points: Vec<Point> = distinct.iter().map(|&(p, _)| p).collect();
+    if distinct.len() < 2 || are_collinear(&points, tol) {
+        return (None, None); // gathered, or linear
     }
-    // Occupied centres: Lemma 3.4, prefiltered by the Weber subgradient
-    // condition — by Lemma 3.3 the centre of quasi-regularity must be the
-    // Weber point, and an occupied point p with multiplicity k is the
-    // Weber point only if the residual pull of the other robots satisfies
-    // |Σ unit(p→q)| ≤ k. The prefilter is exact up to floating noise and
-    // prunes the O(n³) combinatorial test from all but O(1) candidates.
+    detect_in(&Tail::new(config, &distinct, tol, hint))
+}
+
+/// The Weber prefilter of the occupied-centre search at `p`: by Lemma 3.3
+/// the centre of quasi-regularity must be the Weber point, and an occupied
+/// point is the Weber point only if the residual pull of the robots outside
+/// its centre zone satisfies `|Σ unit(p→q)| ≤ |zone|`. Returns the zone
+/// count, the Lemma 3.4 spare-robot budget, when `p` passes. The slack
+/// `0.1 + ANGLE_EPS·n` is generous: direction noise contributes at most
+/// `ANGLE_EPS` per robot to the residual, and a false pass only costs time.
+fn weber_prefilter(config: &Configuration, p: Point, tol: Tol) -> Option<usize> {
+    let zone = center_zone_radius(config, p, tol);
+    let (pull, zone_mult) = gather_geom::soa::radial_pull(config.soa(), p, zone);
+    // Fails only on a strict excess, so a NaN pull passes.
+    let fails = pull.norm() > zone_mult as f64 + 0.1 + ANGLE_EPS * config.len() as f64;
+    (!fails).then_some(zone_mult)
+}
+
+/// Quasi-regularity detection on the class-`A` tail's shared state, for a
+/// configuration already known to be neither gathered nor linear.
+///
+/// *Occupied centres.* Every distinct position that passes the Weber
+/// prefilter ([`weber_prefilter`]) gets the exact Lemma 3.4 test, in
+/// `distinct` order, so that the tie-break `m > b.m` keeps the first
+/// position with the largest `m`. [`OccupiedScreen`] first proves most
+/// positions fail the prefilter from the shared Weber bound, at O(1) each;
+/// only the others are evaluated exactly.
+///
+/// *Unoccupied centres.* Then `C` itself must be regular around the centre,
+/// and the candidates are the SEC centre and the numeric Weber point (a
+/// distinct position holds a robot, so it is an occupied candidate, unless
+/// `within` fails on it — a non-finite position — which keeps it here).
+pub(crate) fn detect_in(tail: &Tail<'_>) -> (Option<QuasiRegularity>, Option<Point>) {
+    let Tail {
+        config,
+        distinct,
+        tol,
+        hint,
+        ..
+    } = *tail;
+    let screen = OccupiedScreen::new(tail);
     let mut best: Option<QuasiRegularity> = None;
-    for (p, _mult) in config.distinct() {
-        let zone = center_zone_radius(config, p, tol);
-        let (pull, zone_mult) = gather_geom::soa::radial_pull(config.soa(), p, zone);
-        // Generous slack: direction noise contributes at most ANGLE_EPS
-        // per robot to the residual; a false pass only costs time.
-        if pull.norm() > zone_mult as f64 + 0.1 + ANGLE_EPS * config.len() as f64 {
+    for &(p, _) in distinct {
+        if screen.fails_prefilter(p) {
             continue;
         }
+        let Some(zone_mult) = weber_prefilter(config, p, tol) else {
+            continue;
+        };
         // p is occupied by construction; its zone count is the Lemma 3.4
         // spare-robot budget.
         if let Some(m) = occupied_quasi_regularity(config, p, tol, zone_mult) {
@@ -292,11 +387,18 @@ pub fn detect_quasi_regularity_hinted(
     if best.is_some() {
         return (best, None);
     }
-    // Unoccupied centres: C itself must be regular around the centre.
-    let (candidates, weber) = candidate_centers_hinted(config, tol, hint);
-    for c in candidates {
+    let weber = match hint {
+        Some(h) => weber_point_weiszfeld_from(h, config.points(), tol).point,
+        None => weber_point_weiszfeld(config.points(), tol).point,
+    };
+    let unheld = distinct
+        .iter()
+        .zip(&tail.mults)
+        .filter(|&(_, &m)| m == 0)
+        .map(|(&(p, _), _)| p);
+    for c in unheld.chain([tail.sec.center, weber]) {
         if config.mult(c, tol) > 0 {
-            continue; // occupied candidates already handled exactly
+            continue; // occupied candidates are handled exactly above
         }
         let m = regularity_around(config, c, tol);
         if m > 1 && best.is_none_or(|b| m > b.m) {
@@ -308,6 +410,66 @@ pub fn detect_quasi_regularity_hinted(
         }
     }
     (best, Some(weber))
+}
+
+/// Proves occupied positions out of the Weber prefilter without evaluating
+/// it.
+///
+/// If `p` passes, with `Z` its centre zone and `s = 0.1 + ANGLE_EPS·n`,
+/// then `|pull| ≤ |Z| + s`, and for every point `x`:
+/// `f(x) ≥ f(p) − s·|x − p| − 2·Σ_{q∈Z}|p − q|`. (For `q ∉ Z`,
+/// `|x − q| ≥ |p − q| − ⟨unit(q − p), x − p⟩`, the first-order inequality
+/// of the convex `|· − q|` at `p`; for `q ∈ Z`, `|x − q| ≥ |x − p| − |p − q|`.
+/// Summed: `f(x) ≥ f(p) − 2·Σ_Z|p − q| + (|Z| − |pull|)·|x − p|`.) So `p`
+/// fails when the bound's `lower(p)` exceeds `f(x) + s·|x − p| +
+/// 2·|Z|_ub·zone_ub(p)`, for `x` the best probe, `zone_ub(p)` an upper bound
+/// on `p`'s zone radius from the bound's extent, and `|Z|_ub` the robots in
+/// the x-strip of that half-width, counted on the sorted multiset. The
+/// bound's slack is added once more for the rounding of `f(x)` and of the
+/// pull (DESIGN.md §13 item 8).
+struct OccupiedScreen<'a> {
+    tail: &'a Tail<'a>,
+    /// `before[i]`: the robots at the first `i` distinct positions.
+    before: Vec<usize>,
+    /// The best probe and its objective.
+    probe: (Point, f64),
+    /// The prefilter slack `s`.
+    s: f64,
+}
+
+impl<'a> OccupiedScreen<'a> {
+    fn new(tail: &'a Tail<'a>) -> Self {
+        let mut before = Vec::with_capacity(tail.distinct.len() + 1);
+        before.push(0);
+        for &(_, m) in tail.distinct {
+            before.push(before.last().copied().unwrap_or(0) + m);
+        }
+        OccupiedScreen {
+            tail,
+            before,
+            probe: tail.bound.best(),
+            s: 0.1 + ANGLE_EPS * tail.config.len() as f64,
+        }
+    }
+
+    /// Is `p` proved to fail [`weber_prefilter`]? `false` only costs time.
+    fn fails_prefilter(&self, p: Point) -> bool {
+        let bound = &self.tail.bound;
+        let (x, f_x) = self.probe;
+        let gap = bound.lower(p) - (f_x + self.s * x.dist(p) + bound.slack(p));
+        if !bound.is_usable() || gap <= 0.0 {
+            return false;
+        }
+        let reach = bound.extent() + p.dist(bound.centre());
+        // Inflated by 1e-6, far above the few ulps by which the kernels'
+        // zone radius and zone test can round past the exact ones.
+        let zone = (2.0 * self.tail.tol.snap).max(CENTER_ZONE_REL * reach) * (1.0 + 1e-6);
+        let distinct = self.tail.distinct;
+        let lo = distinct.partition_point(|(q, _)| q.x - p.x < -zone);
+        let hi = distinct.partition_point(|(q, _)| q.x - p.x <= zone);
+        let zone_count = self.before[hi] - self.before[lo];
+        gap > 2.0 * zone_count as f64 * zone
+    }
 }
 
 #[cfg(test)]

@@ -9,11 +9,12 @@
 
 use crate::angles::string_of_angles;
 use crate::configuration::Configuration;
-use gather_geom::{weber_point_weiszfeld, weber_point_weiszfeld_from, Point, Tol};
+use gather_geom::{Point, Tol};
 
 /// Evidence that a configuration is regular: the centre and the period.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegularityWitness {
+struct RegularityWitness {
     /// The centre of regularity `CR(C)`.
     pub center: Point,
     /// The regularity `reg(C) = per(SA(center)) > 1`.
@@ -43,39 +44,25 @@ pub fn regularity_around(config: &Configuration, center: Point, tol: Tol) -> usi
     string_of_angles(config, center, tol).periodicity()
 }
 
-/// Candidate centres for regularity detection.
+/// The candidate centres [`detect_regularity`] tries, in this order: every
+/// distinct position, the centre of the smallest enclosing circle, and the
+/// numerically computed (cold-started) Weber point.
 ///
 /// The centre of regularity of a non-linear configuration is its Weber
-/// point (Lemma 3.3 via quasi-regularity). Three families of candidates
-/// cover all cases arising during execution of the algorithm:
-///
-/// * every occupied position (centres carrying robots),
-/// * the centre of the smallest enclosing circle (symmetric configurations,
-///   where the Weber point is the SEC centre),
-/// * the numerically computed Weber point (regular-but-not-symmetric
-///   configurations such as biangular ones, whose centre satisfies the
-///   Weber first-order condition `Σ unit-vectors = 0`).
-pub(crate) fn candidate_centers(config: &Configuration, tol: Tol) -> Vec<Point> {
-    candidate_centers_hinted(config, tol, None).0
-}
-
-/// [`candidate_centers`] with an optional warm-start iterate for the numeric
-/// Weber candidate (the previous round's Weber point, see Lemma 3.2), and
-/// the computed Weber point returned alongside so callers can carry it
-/// forward as the next round's hint.
-pub(crate) fn candidate_centers_hinted(
-    config: &Configuration,
-    tol: Tol,
-    hint: Option<Point>,
-) -> (Vec<Point>, Point) {
+/// point (Lemma 3.3 via quasi-regularity), and the three families target
+/// that point where it is a robot position, where the configuration is
+/// symmetric (its Weber point is the SEC centre), and where it is regular
+/// but not symmetric, as biangular configurations are (their centre
+/// satisfies the Weber first-order condition `Σ unit-vectors = 0`).
+/// Quasi-regularity detection does not use this list: it tests occupied
+/// positions with Lemma 3.4 and tries only the SEC centre and the Weber
+/// point as unoccupied centres.
+#[cfg(test)]
+fn candidate_centers(config: &Configuration, tol: Tol) -> Vec<Point> {
     let mut candidates = config.distinct_points();
     candidates.push(config.sec().center);
-    let weber = match hint {
-        Some(h) => weber_point_weiszfeld_from(h, config.points(), tol).point,
-        None => weber_point_weiszfeld(config.points(), tol).point,
-    };
-    candidates.push(weber);
-    (candidates, weber)
+    candidates.push(gather_geom::weber_point_weiszfeld(config.points(), tol).point);
+    candidates
 }
 
 /// Searches for a centre of regularity among the candidate centres
@@ -87,8 +74,11 @@ pub(crate) fn candidate_centers_hinted(
 /// algorithm: the centre of regularity of a non-linear configuration is
 /// its Weber point (Lemma 3.3), and all three candidate families target
 /// exactly that point; DESIGN.md §2 documents this substitution for the
-/// paper's abstract "there exists a point `c`".
-pub fn detect_regularity(config: &Configuration, tol: Tol) -> Option<RegularityWitness> {
+/// paper's abstract "there exists a point `c`". Only the tests call it:
+/// the classification reaches regularity through quasi-regularity
+/// detection.
+#[cfg(test)]
+fn detect_regularity(config: &Configuration, tol: Tol) -> Option<RegularityWitness> {
     let mut best: Option<RegularityWitness> = None;
     for c in candidate_centers(config, tol) {
         let m = regularity_around(config, c, tol);

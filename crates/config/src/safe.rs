@@ -13,9 +13,12 @@
 //! gathering point among the safe points of the configuration.
 
 use crate::angles::direction_buckets;
-use crate::configuration::Configuration;
+use crate::configuration::{total_key, Configuration};
+use crate::locate::Tail;
 use crate::view::view_of;
 use gather_geom::{Point, Tol};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Is `p` a safe point of `config` (Definition 8)?
 ///
@@ -84,37 +87,95 @@ pub fn safe_points(config: &Configuration, tol: Tol) -> Vec<Point> {
 /// what lets the shared round analysis carry it as the class-`A` target.
 ///
 /// The order is lexicographic, so the winner lies in the best
-/// `(multiplicity, Σ distances)` group that holds a safe point at all:
-/// the positions are ranked by that key first, and the safety test (one
-/// direction-bucket sort per point) runs group by group, best first,
-/// until a group answers. On a generic scatter the first group is a
-/// single point that is safe, so one test replaces `|U(C)|` of them. The
-/// ranking sort is stable, so equal keys keep `distinct_points` order and
-/// the view tie-break returns the last maximum, as `Iterator::max_by`
-/// over all safe points does.
+/// `(multiplicity, Σ distances)` group that holds a safe point at all, and
+/// the safety test (one direction-bucket sort per point) runs group by
+/// group, best first, until a group answers. Within a group the view
+/// tie-break returns the last maximum in `distinct_points` order, as
+/// `Iterator::max_by` over all safe points does. The groups come from
+/// the class-`A` tail's shared pass (see `elect_in`), which evaluates the
+/// distance sum only where a lower bound on it cannot rule a group out.
 pub fn elected_point(config: &Configuration, tol: Tol) -> Option<Point> {
-    let mut ranked: Vec<(usize, f64, Point)> = config
-        .distinct_points()
-        .into_iter()
-        .map(|p| (config.mult(p, tol), config.sum_of_distances(p), p))
+    let distinct = config.distinct();
+    if distinct.is_empty() {
+        return None;
+    }
+    elect_in(&Tail::new(config, &distinct, tol, None))
+}
+
+/// [`elected_point`] on the class-`A` tail's shared state.
+///
+/// Multiplicities come from the tail's sweep. Within a multiplicity level,
+/// best first, the positions are visited in the order of the shared
+/// bound's certified lower bound on their distance sum, and the exact sum
+/// ([`Configuration::sum_of_distances`]) is evaluated lazily. The smallest
+/// evaluated sum `s` not yet emitted is final once the next position's
+/// bound exceeds it: that position's sum, and every later one's, is then
+/// larger than `s`. Its group — every evaluated position with a sum
+/// bitwise equal to `s` — leaves the heap in `distinct` order, the order
+/// the stable ranking sort of the full scan kept.
+pub(crate) fn elect_in(tail: &Tail<'_>) -> Option<Point> {
+    let Tail {
+        config,
+        distinct,
+        tol,
+        ..
+    } = *tail;
+    // Best first: larger multiplicity, then smaller bound.
+    let mut order: Vec<(usize, f64, usize)> = (0..distinct.len())
+        .map(|i| (tail.mults[i], tail.bound.lower(distinct[i].0), i))
         .collect();
-    // Best first: larger multiplicity, then smaller sum of distances.
-    ranked.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.total_cmp(&b.1)));
-    ranked
-        .chunk_by(|a, b| a.0 == b.0 && a.1.total_cmp(&b.1).is_eq())
-        .find_map(|group| {
-            group
-                .iter()
-                .map(|&(_, _, p)| p)
+    order.sort_by(|a, b| {
+        b.0.cmp(&a.0)
+            .then_with(|| a.1.total_cmp(&b.1))
+            .then_with(|| a.2.cmp(&b.2))
+    });
+    // Evaluated sums not yet emitted: (`total_cmp` key, position, bits).
+    let mut pending = BinaryHeap::new();
+    for level in order.chunk_by(|a, b| a.0 == b.0) {
+        pending.clear();
+        let mut next = 0;
+        loop {
+            let settled = next == level.len()
+                || pending.peek().is_some_and(
+                    |&Reverse((_, _, bits)): &Reverse<(i64, usize, u64)>| {
+                        level[next].1 > f64::from_bits(bits)
+                    },
+                );
+            if !settled {
+                let (_, _, i) = level[next];
+                let sum = config.sum_of_distances(distinct[i].0);
+                pending.push(Reverse((total_key(sum), i, sum.to_bits())));
+                next += 1;
+                continue;
+            }
+            let Some(Reverse((key, first, _))) = pending.pop() else {
+                break; // level exhausted
+            };
+            let mut group = vec![first];
+            while let Some(&Reverse((k, i, _))) = pending.peek() {
+                if k != key {
+                    break;
+                }
+                group.push(i);
+                pending.pop();
+            }
+            let winner = group
+                .into_iter()
+                .map(|i| distinct[i].0)
                 .filter(|p| is_safe_point(config, *p, tol))
-                .max_by(|p, q| view_of(config, *p, tol).cmp(&view_of(config, *q, tol)))
-        })
+                .max_by(|p, q| view_of(config, *p, tol).cmp(&view_of(config, *q, tol)));
+            if winner.is_some() {
+                return winner;
+            }
+        }
+    }
+    None
 }
 
 /// The election by its definition: the `max_by` of the comparator over
 /// every safe point. The differential tests hold [`elected_point`] to it.
 #[cfg(test)]
-fn elected_point_oracle(config: &Configuration, tol: Tol) -> Option<Point> {
+pub(crate) fn elected_point_oracle(config: &Configuration, tol: Tol) -> Option<Point> {
     safe_points(config, tol).into_iter().max_by(|p, q| {
         config
             .mult(*p, tol)
@@ -129,8 +190,33 @@ fn elected_point_oracle(config: &Configuration, tol: Tol) -> Option<Point> {
     })
 }
 
+/// The election the locate-then-verify pass replaced, kept whole: `mult`
+/// and the distance sum at every distinct position, a stable ranking sort,
+/// then the safety test group by group. It is held to
+/// [`elected_point_oracle`] above and runs one safety test instead of
+/// `|U(C)|`, so the differential tests use it where the definition would
+/// be too slow (large scatters).
 #[cfg(test)]
-mod tests {
+pub(crate) fn elected_point_ranked_oracle(config: &Configuration, tol: Tol) -> Option<Point> {
+    let mut ranked: Vec<(usize, f64, Point)> = config
+        .distinct_points()
+        .into_iter()
+        .map(|p| (config.mult(p, tol), config.sum_of_distances(p), p))
+        .collect();
+    ranked.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.total_cmp(&b.1)));
+    ranked
+        .chunk_by(|a, b| a.0 == b.0 && a.1.total_cmp(&b.1).is_eq())
+        .find_map(|group| {
+            group
+                .iter()
+                .map(|&(_, _, p)| p)
+                .filter(|p| is_safe_point(config, *p, tol))
+                .max_by(|p, q| view_of(config, *p, tol).cmp(&view_of(config, *q, tol)))
+        })
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use gather_prng::Rng;
     use std::f64::consts::TAU;
@@ -268,10 +354,16 @@ mod tests {
     }
 
     fn assert_same_election(c: &Configuration) {
+        let want = elected_point_oracle(c, t());
         assert_eq!(
             elected_point(c, t()),
-            elected_point_oracle(c, t()),
+            want,
             "election differs from the max_by oracle on {c}"
+        );
+        assert_eq!(
+            elected_point_ranked_oracle(c, t()),
+            want,
+            "the ranked oracle differs from the max_by oracle on {c}"
         );
     }
 
@@ -311,7 +403,7 @@ mod tests {
     /// Mirrored positions then tie on multiplicity and sum bit for bit, and
     /// the view decides — or, when the mirror is also a rotation, nothing
     /// does and the last maximum wins.
-    fn integer_distance_ties(rng: &mut Rng) -> Vec<Point> {
+    pub(crate) fn integer_distance_ties(rng: &mut Rng) -> Vec<Point> {
         let (h, xs): (f64, Vec<f64>) = if rng.random_bool(0.5) {
             (12.0, vec![5.0, 9.0, 16.0, 35.0])
         } else {

@@ -59,5 +59,5 @@ pub use tol::Tol;
 pub use transform::Similarity;
 pub use weber::{
     weber_objective, weber_point_weiszfeld, weber_point_weiszfeld_from, weiszfeld_iterations,
-    weiszfeld_nanos, WeberResult,
+    weiszfeld_nanos, WeberBound, WeberResult,
 };

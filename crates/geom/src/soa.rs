@@ -182,6 +182,28 @@ fn reduce(acc: [f64; LANES]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
+thread_local! {
+    /// Calls of the per-point O(n) kernels on this thread.
+    static POINT_SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Total calls of the per-point O(n) kernels — [`sum_distances`] (and
+/// [`sum_distances_slices`]), [`radial_pull`] and the probe kernel of
+/// [`crate::weber::WeberBound`] — on the current thread since it started.
+/// Monotone; callers diff two readings. Each call evaluates the Weber
+/// objective or its pull at one point against the whole buffer, so this
+/// counts what a scan over candidate points costs: the cost tests of the
+/// class-A classification and of the cold Weiszfeld start hold it to a
+/// bound independent of `n`. Counting reads no point and changes no
+/// result.
+pub fn point_scans() -> u64 {
+    POINT_SCANS.with(|c| c.get())
+}
+
+fn count_point_scan() {
+    POINT_SCANS.with(|c| c.set(c.get() + 1));
+}
+
 /// Sum of Euclidean distances from `at` to every point of `buf` — the
 /// batch form of [`crate::weber_objective`].
 pub fn sum_distances(buf: &PointBuffer, at: Point) -> f64 {
@@ -195,6 +217,7 @@ pub fn sum_distances(buf: &PointBuffer, at: Point) -> f64 {
 /// Panics if the slices have different lengths.
 pub fn sum_distances_slices(xs: &[f64], ys: &[f64], at: Point) -> f64 {
     assert_eq!(xs.len(), ys.len(), "coordinate slices of unequal length");
+    count_point_scan();
     let mut acc = [0.0f64; LANES];
     let chunks = xs.len() / LANES * LANES;
     for base in (0..chunks).step_by(LANES) {
@@ -418,6 +441,7 @@ pub fn masked_max_dist2(xs: &[f64], ys: &[f64], mask: &[bool], from: Point) -> f
 /// kernel. Points within `zone` (inclusive) contribute to the count and
 /// not to the pull.
 pub fn radial_pull(buf: &PointBuffer, at: Point, zone: f64) -> (Vec2, usize) {
+    count_point_scan();
     let (xs, ys) = buf.as_slices();
     let zone2 = zone * zone;
     let mut px = [0.0f64; LANES];
@@ -450,6 +474,47 @@ pub fn radial_pull(buf: &PointBuffer, at: Point, zone: f64) -> (Vec2, usize) {
         }
     }
     (pull, inside)
+}
+
+/// The Weber objective `Σ|at − q|` and the unit-vector pull `Σ unit(q − at)`
+/// over the points not bitwise at `at`, in one pass — the probe kernel of
+/// [`crate::weber::WeberBound`]. The negated pull is a subgradient of the
+/// objective at `at` (points at `at` contribute the zero element of their
+/// unit-ball subdifferential), so it is the gradient of a supporting line
+/// of the convex objective even when `at` sits on a point. The sums are
+/// those of [`sum_distances`] and `radial_pull(buf, at, 0.0).0` up to
+/// rounding.
+pub(crate) fn weber_probe(buf: &PointBuffer, at: Point) -> (f64, Vec2) {
+    count_point_scan();
+    let (xs, ys) = buf.as_slices();
+    let mut f = [0.0f64; LANES];
+    let mut px = [0.0f64; LANES];
+    let mut py = [0.0f64; LANES];
+    let chunks = xs.len() / LANES * LANES;
+    for base in (0..chunks).step_by(LANES) {
+        for lane in 0..LANES {
+            let dx = xs[base + lane] - at.x;
+            let dy = ys[base + lane] - at.y;
+            let d = (dx * dx + dy * dy).sqrt();
+            let w = if d > 0.0 { d.recip() } else { 0.0 };
+            f[lane] += d;
+            px[lane] += dx * w;
+            py[lane] += dy * w;
+        }
+    }
+    let mut sum = reduce(f);
+    let mut pull = Vec2::new(reduce(px), reduce(py));
+    for i in chunks..xs.len() {
+        let dx = xs[i] - at.x;
+        let dy = ys[i] - at.y;
+        let d = (dx * dx + dy * dy).sqrt();
+        sum += d;
+        if d > 0.0 {
+            pull.x += dx / d;
+            pull.y += dy / d;
+        }
+    }
+    (sum, pull)
 }
 
 /// Direction angles (counter-clockwise from `+x`, normalised to `[0, 2π)`)

@@ -16,7 +16,7 @@
 //!   which the numeric solver doubles as a cross-check.
 
 use crate::line::Line;
-use crate::point::Point;
+use crate::point::{Point, Vec2};
 use crate::predicates::are_collinear;
 use crate::soa::{self, PointBuffer};
 use crate::tol::Tol;
@@ -34,6 +34,130 @@ use crate::tol::Tol;
 /// ```
 pub fn weber_objective(x: Point, points: &[Point]) -> f64 {
     points.iter().map(|p| x.dist(*p)).sum()
+}
+
+/// Number of probe points of a [`WeberBound`].
+pub const PROBES: usize = 8;
+
+/// Radius of a [`WeberBound`]'s probe ring, as a fraction of the scale
+/// its caller passes (the SEC radius for the classification, the extent
+/// around the centroid for the cold Weiszfeld start).
+pub const PROBE_RING: f64 = 0.05;
+
+/// A lower bound on the Weber objective `f(x) = Σ|x − q|` of a point set,
+/// built from its exact value and a subgradient at a few probe points.
+///
+/// `f` is convex, so each probe `y` gives the supporting line
+/// `f(y) + ⟨g, x − y⟩ ≤ f(x)` for a subgradient `g` at `y`; the bound is
+/// their maximum. [`PROBES`] probes sit on a ring of the given radius
+/// around a centre, ideally near the Weber point: a point far from the
+/// probes then has a bound close to its objective, so a scan that needs
+/// the objective only where it is small can skip every point whose bound
+/// already rules it out. The probes cost `PROBES` O(n) kernel calls; each
+/// bound then costs O(`PROBES`).
+///
+/// [`WeberBound::lower`] is certified against rounding: it never exceeds
+/// the exact objective nor the value [`soa::sum_distances`] computes.
+/// DESIGN.md §13 item 8 derives [`WeberBound::slack`], the rounding
+/// margin that makes it so. A bound built on a non-finite input (or from a
+/// non-finite centre or radius) is unusable, and `lower` then returns
+/// `−∞`, which excludes nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct WeberBound {
+    /// Probe points with their objective and subgradient.
+    probes: [(Point, f64, Vec2); PROBES],
+    centre: Point,
+    radius: f64,
+    /// `max |q − centre|` over the point set.
+    extent: f64,
+    /// `4·n·(n + 12)·ε`: the relative error budget of the kernels' sums.
+    rel: f64,
+    /// Index of the probe with the smallest objective.
+    best: usize,
+    usable: bool,
+}
+
+impl WeberBound {
+    /// Probes `buf` on a ring of radius `radius` around `centre`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is empty.
+    pub fn new(buf: &PointBuffer, centre: Point, radius: f64) -> Self {
+        let extent = soa::max_dist2(buf, centre).1.sqrt();
+        let mut probes = [(centre, 0.0, Vec2::ZERO); PROBES];
+        let mut usable = extent.is_finite() && radius.is_finite() && radius >= 0.0;
+        for (k, probe) in probes.iter_mut().enumerate() {
+            let theta = std::f64::consts::TAU * k as f64 / PROBES as f64;
+            let at = Point::new(
+                centre.x + radius * theta.cos(),
+                centre.y + radius * theta.sin(),
+            );
+            let (f, pull) = soa::weber_probe(buf, at);
+            usable &= f.is_finite() && pull.x.is_finite() && pull.y.is_finite();
+            *probe = (at, f, -pull);
+        }
+        let best = (0..PROBES)
+            .min_by(|&a, &b| probes[a].1.total_cmp(&probes[b].1))
+            .expect("PROBES > 0");
+        let n = buf.len() as f64;
+        WeberBound {
+            probes,
+            centre,
+            radius,
+            extent,
+            rel: 4.0 * n * (n + 12.0) * f64::EPSILON,
+            best,
+            usable,
+        }
+    }
+
+    /// A value no larger than the exact objective at `p` and no larger
+    /// than `soa::sum_distances(buf, p)`: the largest supporting line at
+    /// `p`, less [`WeberBound::slack`]. `−∞` when the bound is unusable.
+    pub fn lower(&self, p: Point) -> f64 {
+        if !self.usable {
+            return f64::NEG_INFINITY;
+        }
+        let line = self
+            .probes
+            .iter()
+            .map(|&(y, f, g)| f + g.dot(p - y))
+            .fold(f64::NEG_INFINITY, f64::max);
+        line - self.slack(p)
+    }
+
+    /// The rounding margin at `p`: `4·n·(n + 12)·ε·(E + 2r + |p − c|)` for
+    /// `n` points, extent `E` around the centre `c` and ring radius `r`.
+    /// It dominates the error of a kernel sum of the objective or of the
+    /// pull at any point within `|p − c| + r` of a probe, together with the
+    /// error of evaluating a supporting line at `p`.
+    pub fn slack(&self, p: Point) -> f64 {
+        self.rel * (self.extent + 2.0 * self.radius + p.dist(self.centre))
+    }
+
+    /// The probe with the smallest objective, and that objective as the
+    /// kernel computed it.
+    pub fn best(&self) -> (Point, f64) {
+        let (at, f, _) = self.probes[self.best];
+        (at, f)
+    }
+
+    /// `max |q − centre|` over the point set, as computed.
+    pub fn extent(&self) -> f64 {
+        self.extent
+    }
+
+    /// The centre of the probe ring.
+    pub fn centre(&self) -> Point {
+        self.centre
+    }
+
+    /// Whether every probe came out finite; an unusable bound excludes
+    /// nothing.
+    pub fn is_usable(&self) -> bool {
+        self.usable
+    }
 }
 
 /// Outcome of the Weiszfeld iteration.
@@ -57,15 +181,14 @@ thread_local! {
     static WEISZFELD_ITERS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Reusable per-thread solver state: the SoA transpose of the input and the
-/// distinct-location table. Taken at the top of [`weiszfeld_solve`] and put
-/// back on exit, so repeated solves on one thread (every round of a
-/// simulation run, every sweep item on a pool worker) allocate nothing once
-/// the buffers have grown to the configuration size.
+/// Reusable per-thread solver state: the SoA transpose of the input. Taken
+/// at the top of [`weiszfeld_solve`] and put back on exit, so repeated
+/// solves on one thread (every round of a simulation run, every sweep item
+/// on a pool worker) allocate nothing once the buffer has grown to the
+/// configuration size.
 #[derive(Default)]
 struct SolverScratch {
     buf: PointBuffer,
-    distinct: Vec<(Point, usize)>,
 }
 
 thread_local! {
@@ -186,53 +309,32 @@ fn weiszfeld_solve_inner(points: &[Point], tol: Tol, warm: Option<Point>) -> Web
     // once, then every distance scan below is a batch kernel.
     let mut scratch = SOLVER_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
     scratch.buf.copy_from_points(points);
-    // Distinct input locations (bitwise groups) with multiplicities for the
-    // vertex-capture test below.
-    scratch.distinct.clear();
-    for p in points {
-        match scratch.distinct.iter_mut().find(|(q, _)| q == p) {
-            Some((_, m)) => *m += 1,
-            None => scratch.distinct.push((*p, 1)),
-        }
-    }
     let buf = &scratch.buf;
-    let distinct = &scratch.distinct;
 
     let centroid = soa::centroid(buf);
+    let extent = soa::max_dist2(buf, centroid).1.sqrt().max(1e-12);
     // Warm path: trust the caller's iterate (Lemma 3.2 makes the previous
     // round's Weber point exact while robots move toward it). Cold path:
     // start from the best input point or the centroid, whichever is better.
     let mut x = match warm {
         Some(p) if p.x.is_finite() && p.y.is_finite() => p,
         _ => {
-            let mut best = buf.get(0);
-            let mut best_obj = soa::sum_distances(buf, best);
-            for i in 1..buf.len() {
-                let p = buf.get(i);
-                let obj = soa::sum_distances(buf, p);
-                if obj < best_obj {
-                    best = p;
-                    best_obj = obj;
-                }
-            }
+            let best = cold_start_point(buf, centroid, extent);
             let centroid_obj = soa::sum_distances(buf, centroid);
-            if centroid_obj < best_obj {
-                best = centroid;
+            if centroid_obj < best.1 {
+                centroid
+            } else {
+                best.0
             }
-            best
         }
     };
 
-    let extent = soa::max_dist2(buf, centroid).1.sqrt().max(1e-12);
     // If the iterate hovers near an input point, test that point's exact
     // optimality (the subgradient condition |Σ unit vectors| ≤ mult) and
     // snap to it — Weiszfeld converges sublinearly exactly in this regime,
     // and the snap also removes the residual numeric offset.
     let capture = |x: Point| -> Option<Point> {
-        let (p, m) = distinct
-            .iter()
-            .min_by(|(a, _), (b, _)| x.dist2(*a).total_cmp(&x.dist2(*b)))
-            .copied()?;
+        let (p, m) = nearest_input(points, x);
         if x.dist(p) > 1e-3 * extent {
             return None;
         }
@@ -302,6 +404,100 @@ fn weiszfeld_solve_inner(points: &[Point], tol: Tol, warm: Option<Point>) -> Web
         iterations,
         converged,
     }
+}
+
+/// The input point with the smallest objective, with that objective: the
+/// first one in index order among equals, as a scan that keeps its best on
+/// a strict `<` finds it. The objective is evaluated only at the points a
+/// [`WeberBound`] around the centroid cannot exclude. The point the bound
+/// ranks lowest is evaluated first, and its objective caps the minimum; a
+/// point whose certified bound exceeds the cap (or the best value found so
+/// far) cannot attain the minimum, and every point that does is evaluated,
+/// in index order. So the result is the full scan's
+/// (`cold_start_point_oracle` below), at O(n) kernel calls only for the few
+/// points near the Weber point.
+fn cold_start_point(buf: &PointBuffer, centroid: Point, extent: f64) -> (Point, f64) {
+    let bound = WeberBound::new(buf, centroid, PROBE_RING * extent);
+    let mut lowest = (0, f64::INFINITY);
+    for i in 0..buf.len() {
+        let lower = bound.lower(buf.get(i));
+        if lower < lowest.1 {
+            lowest = (i, lower);
+        }
+    }
+    let cap = soa::sum_distances(buf, buf.get(lowest.0));
+    let mut best: Option<(Point, f64)> = None;
+    for i in 0..buf.len() {
+        let p = buf.get(i);
+        let limit = best.map_or(cap, |(_, obj)| obj.min(cap));
+        if bound.lower(p) > limit {
+            continue;
+        }
+        let obj = if i == lowest.0 {
+            cap
+        } else {
+            soa::sum_distances(buf, p)
+        };
+        if best.is_none_or(|(_, b)| obj < b) {
+            best = Some((p, obj));
+        }
+    }
+    best.expect("the point that attains the minimum is never excluded")
+}
+
+/// The capture candidate near the iterate `x`: the input point nearest
+/// `x`, the first in index order among equals, with the number of inputs
+/// `==` to it. This is the entry `min_by` picks from a first-occurrence
+/// table of the `==`-distinct inputs (equal values lie at equal distances,
+/// and a class's first member precedes the rest), found without building
+/// the table, which cost a scan of it per input (`nearest_input_oracle`
+/// below keeps that construction for the differential tests).
+///
+/// # Panics
+///
+/// Panics if `points` is empty.
+fn nearest_input(points: &[Point], x: Point) -> (Point, usize) {
+    let p = points
+        .iter()
+        .copied()
+        .min_by(|a, b| x.dist2(*a).total_cmp(&x.dist2(*b)))
+        .expect("a non-empty input");
+    (p, points.iter().filter(|q| **q == p).count())
+}
+
+/// The capture candidate as the solver used to find it: a table of the
+/// `==`-distinct inputs in first-occurrence order, then `min_by` distance.
+#[cfg(test)]
+fn nearest_input_oracle(points: &[Point], x: Point) -> (Point, usize) {
+    let mut distinct: Vec<(Point, usize)> = Vec::new();
+    for p in points {
+        match distinct.iter_mut().find(|(q, _)| q == p) {
+            Some((_, m)) => *m += 1,
+            None => distinct.push((*p, 1)),
+        }
+    }
+    distinct
+        .into_iter()
+        .min_by(|(a, _), (b, _)| x.dist2(*a).total_cmp(&x.dist2(*b)))
+        .expect("a non-empty input")
+}
+
+/// The cold start's scan by its definition: the objective at every input
+/// point, the first strict minimum kept. The differential tests hold
+/// [`cold_start_point`] to it.
+#[cfg(test)]
+fn cold_start_point_oracle(buf: &PointBuffer) -> (Point, f64) {
+    let mut best = buf.get(0);
+    let mut best_obj = soa::sum_distances(buf, best);
+    for i in 1..buf.len() {
+        let p = buf.get(i);
+        let obj = soa::sum_distances(buf, p);
+        if obj < best_obj {
+            best = p;
+            best_obj = obj;
+        }
+    }
+    (best, best_obj)
 }
 
 /// The Weber point set of a **collinear** configuration: the closed interval
@@ -382,7 +578,6 @@ pub fn unique_collinear_weber_point(points: &[Point], tol: Tol) -> Option<Point>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::Vec2;
     use std::f64::consts::TAU;
 
     fn t() -> Tol {
@@ -612,6 +807,169 @@ mod tests {
         let line = [0.0, 1.0, 2.0, 3.0, 50.0].map(|x| Point::new(x, 0.0));
         let r = weber_point_weiszfeld_from(far, &line, t());
         assert!(r.point.dist(Point::new(2.0, 0.0)) < 1e-9);
+    }
+
+    /// Point sets on which the bound, the cold start and the capture
+    /// candidate are held to their oracles: scatters from 3 to 4096
+    /// points, stacks, a point at the Weber point of the others, a
+    /// regular polygon with its centre (every input ties), integer grids
+    /// (exact distance ties), ±0 coordinates and far-off clusters.
+    fn bound_gallery() -> Vec<Vec<Point>> {
+        let mut rng = gather_prng::Rng::seed_from_u64(0xB0_0D);
+        let mut out = Vec::new();
+        let scatter = |rng: &mut gather_prng::Rng, n: usize, w: f64| -> Vec<Point> {
+            (0..n)
+                .map(|_| Point::new(rng.random_range(-w..w), rng.random_range(-w..w)))
+                .collect()
+        };
+        for n in (3..40).chain([64, 100, 256, 1000, 1024, 4096]) {
+            out.push(scatter(&mut rng, n, 10.0));
+        }
+        for _ in 0..40 {
+            let k = rng.random_range(2usize..20);
+            let mut pts = scatter(&mut rng, k, 5.0);
+            for _ in 0..rng.random_range(1usize..30) {
+                pts.push(pts[rng.random_range(0..k)]);
+            }
+            out.push(pts.clone());
+            let w = weber_point_weiszfeld(&pts, t()).point;
+            pts.push(w);
+            out.push(pts);
+        }
+        for n in [5usize, 8, 12, 64] {
+            let mut ring: Vec<Point> = (0..n)
+                .map(|k| {
+                    let th = TAU * k as f64 / n as f64;
+                    Point::new(3.0 * th.cos(), 3.0 * th.sin())
+                })
+                .collect();
+            out.push(ring.clone());
+            ring.push(Point::ORIGIN);
+            out.push(ring);
+        }
+        for side in [3i32, 4, 7] {
+            let grid: Vec<Point> = (0..side * side)
+                .map(|k| Point::new(f64::from(k % side), f64::from(k / side)))
+                .collect();
+            out.push(grid);
+        }
+        out.push(vec![
+            Point::new(0.0, 0.0),
+            Point::new(-0.0, 0.0),
+            Point::new(0.0, -0.0),
+            Point::new(1.0, 0.0),
+            Point::new(-0.0, 2.0),
+            Point::new(0.0, 2.0),
+        ]);
+        let mut far = scatter(&mut rng, 50, 1.0);
+        far.extend(
+            scatter(&mut rng, 50, 1.0)
+                .iter()
+                .map(|p| Point::new(p.x + 1e6, p.y)),
+        );
+        out.push(far);
+        out
+    }
+
+    #[test]
+    fn bound_never_exceeds_the_kernel_objective() {
+        let mut rng = gather_prng::Rng::seed_from_u64(0x10_3E);
+        for pts in bound_gallery() {
+            let buf = PointBuffer::from_points(&pts);
+            let c = soa::centroid(&buf);
+            let extent = soa::max_dist2(&buf, c).1.sqrt();
+            for radius in [0.0, PROBE_RING * extent, extent] {
+                let bound = WeberBound::new(&buf, c, radius);
+                assert!(bound.is_usable());
+                let mut at: Vec<Point> = pts.clone();
+                at.extend((0..PROBES).map(|k| bound.probes[k].0));
+                at.extend((0..20).map(|_| {
+                    let s = 2.0 * extent + 1.0;
+                    Point::new(c.x + rng.random_range(-s..s), c.y + rng.random_range(-s..s))
+                }));
+                for p in at {
+                    let lower = bound.lower(p);
+                    assert!(lower <= soa::sum_distances(&buf, p), "{p:?}");
+                    assert!(lower <= weber_objective(p, &pts), "{p:?}");
+                }
+            }
+        }
+        // A non-finite input makes the bound unusable: it excludes nothing.
+        let buf = PointBuffer::from_points(&[Point::ORIGIN, Point::new(f64::NAN, 1.0)]);
+        let bound = WeberBound::new(&buf, Point::ORIGIN, 0.1);
+        assert!(!bound.is_usable());
+        assert_eq!(bound.lower(Point::new(5.0, 5.0)), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn probe_kernel_matches_the_objective_and_the_pull() {
+        for pts in bound_gallery().into_iter().take(60) {
+            let buf = PointBuffer::from_points(&pts);
+            for at in [pts[0], soa::centroid(&buf), Point::new(0.3, -0.7)] {
+                let (f, pull) = soa::weber_probe(&buf, at);
+                let f_ref = soa::sum_distances(&buf, at);
+                let pull_ref = soa::radial_pull(&buf, at, 0.0).0;
+                assert!((f - f_ref).abs() <= 1e-12 * (1.0 + f_ref));
+                assert!((pull - pull_ref).norm() <= 1e-12 * (1.0 + pts.len() as f64));
+            }
+        }
+    }
+
+    #[test]
+    fn cold_start_and_capture_are_their_oracles() {
+        for pts in bound_gallery() {
+            let buf = PointBuffer::from_points(&pts);
+            let c = soa::centroid(&buf);
+            let extent = soa::max_dist2(&buf, c).1.sqrt().max(1e-12);
+            let got = cold_start_point(&buf, c, extent);
+            let want = cold_start_point_oracle(&buf);
+            assert_eq!(
+                got.0.x.to_bits(),
+                want.0.x.to_bits(),
+                "{} points",
+                pts.len()
+            );
+            assert_eq!(
+                got.0.y.to_bits(),
+                want.0.y.to_bits(),
+                "{} points",
+                pts.len()
+            );
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "{} points", pts.len());
+            let mut probes: Vec<Point> = pts.iter().take(30).copied().collect();
+            probes.extend([c, Point::new(0.5, 0.5), Point::new(1.0, 1.0)]);
+            for x in probes {
+                let (p, m) = nearest_input(&pts, x);
+                let (q, k) = nearest_input_oracle(&pts, x);
+                assert_eq!(
+                    (p.x.to_bits(), p.y.to_bits(), m),
+                    (q.x.to_bits(), q.y.to_bits(), k)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cold_start_evaluates_a_bounded_number_of_points() {
+        for n in [256usize, 1024, 4096] {
+            for seed in 0..2u64 {
+                let mut rng = gather_prng::Rng::seed_from_u64(seed * 7919 + n as u64);
+                let pts: Vec<Point> = (0..n)
+                    .map(|_| {
+                        Point::new(rng.random_range(-10.0..10.0), rng.random_range(-10.0..10.0))
+                    })
+                    .collect();
+                let buf = PointBuffer::from_points(&pts);
+                let c = soa::centroid(&buf);
+                let extent = soa::max_dist2(&buf, c).1.sqrt();
+                let before = soa::point_scans();
+                cold_start_point(&buf, c, extent);
+                let scans = soa::point_scans() - before;
+                // 8 probes and the cap, then only the points near the
+                // minimum: the old scan made n.
+                assert!(scans <= 48, "n={n} seed={seed}: {scans} kernel scans");
+            }
+        }
     }
 
     #[test]
