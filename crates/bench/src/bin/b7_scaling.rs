@@ -25,7 +25,7 @@
 //! is given, in which case the JSON goes to `--out` instead (a reduced or
 //! regression-check run never overwrites the committed record). With
 //! `--baseline` the fresh numbers are additionally checked against the
-//! committed record (mirroring the B1 gate): >20 % regression of
+//! committed record: >20 % regression of
 //! single-worker runs/sec or a SoA kernel that fell behind AoS at
 //! `n >= 32` fails the run.
 //!
@@ -289,7 +289,7 @@ fn main() {
     println!("wrote {}", out.display());
 
     if let Some(baseline_path) = &args.baseline {
-        // Regression-check mode, mirroring B1: the committed record stays
+        // Regression-check mode: the committed record stays
         // untouched, fresh JSON goes to the out dir, and the run fails on
         // a >20 % single-worker throughput regression or a kernel that
         // fell behind its scalar reference.
@@ -300,9 +300,9 @@ fn main() {
             "baseline {} contains no thread-scaling rows",
             baseline_path.display()
         );
-        // 30% tolerance rather than B1's 20%: the sweep's timed pass is
+        // 30% tolerance rather than 20%: the sweep's timed pass is
         // milliseconds long, so container scheduling noise is proportionally
-        // larger here than on B1's much longer round loops.
+        // larger here than on a long round loop.
         if let Some(&(_, base_single)) = base_threads.iter().find(|(t, _)| *t == 1.0) {
             if single < 0.7 * base_single {
                 failures.push(format!(

@@ -96,7 +96,7 @@ fn sweep(quick: bool) -> Vec<Scenario> {
             s
         })
         .collect();
-    // One B1-style warm-start workload — quasi-regular rings with an
+    // One warm-start workload — quasi-regular rings with an
     // unoccupied centre under δ-creep — so the numeric Weber solver runs
     // and the weiszfeld span is exercised (the class sweep's runs resolve
     // their targets analytically).

@@ -27,68 +27,6 @@ pub mod runner;
 pub mod sweep;
 pub mod table;
 
-/// Allocation auditing (feature `alloc-audit`).
-///
-/// When the feature is enabled this module installs a counting wrapper
-/// around the system allocator for the whole process, and
-/// [`heap_allocations`](alloc_audit::heap_allocations) reports the running total — the B1 runner diffs it
-/// around the round loop to prove the scratch-buffer engine's steady state
-/// allocates nothing. Without the feature nothing is installed and
-/// [`heap_allocations`](alloc_audit::heap_allocations) returns `None`, so the audit columns degrade to
-/// `n/a` instead of lying.
-pub mod alloc_audit {
-    #[cfg(feature = "alloc-audit")]
-    mod counting {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-        /// Counts every allocation (and reallocation — a `Vec` growing in
-        /// place still hits the allocator) before delegating to [`System`].
-        /// Deallocations are not counted: the audit asks "did the round
-        /// touch the heap", not "did memory usage grow".
-        struct CountingAlloc;
-
-        // SAFETY: pure delegation to `System`, plus a relaxed counter
-        // increment that cannot affect the returned memory.
-        unsafe impl GlobalAlloc for CountingAlloc {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-                unsafe { System.alloc(layout) }
-            }
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                unsafe { System.dealloc(ptr, layout) }
-            }
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-                unsafe { System.realloc(ptr, layout, new_size) }
-            }
-        }
-
-        #[global_allocator]
-        static GLOBAL: CountingAlloc = CountingAlloc;
-    }
-
-    /// Heap allocations performed by this process so far, when the
-    /// `alloc-audit` feature compiled the counting allocator in.
-    pub fn heap_allocations() -> Option<u64> {
-        #[cfg(feature = "alloc-audit")]
-        {
-            Some(counting::ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "alloc-audit"))]
-        {
-            None
-        }
-    }
-
-    /// Is the counting allocator compiled in?
-    pub fn enabled() -> bool {
-        cfg!(feature = "alloc-audit")
-    }
-}
-
 /// Common command-line arguments for experiment binaries.
 #[derive(Debug, Clone)]
 pub struct Args {

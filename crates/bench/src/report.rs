@@ -1,6 +1,6 @@
 //! Shared record/gate plumbing for the `bX_*` benchmark binaries.
 //!
-//! Every performance benchmark (B1, B7, B8, B9, B10) follows the same
+//! Every performance benchmark (B7, B8, B9, B10, B11, B12) follows the same
 //! contract: full runs overwrite the committed `BENCH_<name>.json` at the
 //! repo root, while `--quick` and `--baseline` runs write their (reduced or
 //! comparison) record to the `--out` directory and leave the committed file

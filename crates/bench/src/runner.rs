@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn weiszfeld_time_is_carved_out_of_classify() {
-        // The B1 warm-start workload: a quasi-regular ring set with an
+        // The warm-start workload: a quasi-regular ring set with an
         // unoccupied centre, δ-creep motion — every round re-detects
         // regularity through the numeric Weber candidate, so the solver
         // runs and its time must land in the weiszfeld span.

@@ -22,7 +22,9 @@
 //! symmetry and `qreg` are invariant under the orientation-preserving
 //! similarities that relate robot frames, so they are shared verbatim. The
 //! equivalence of this shared path with a per-robot fresh classification is
-//! proven by the equivariance tests in the umbrella crate.
+//! checked by the equivariance tests in the umbrella crate and by the
+//! per-robot oracle that `gather-bench`'s `shared_analysis_oracle` test
+//! runs through every engine driver.
 
 use crate::classify::{classify_hinted, classify_hinted_with_distinct, Analysis, Class};
 use crate::configuration::Configuration;
@@ -160,7 +162,7 @@ pub fn fingerprint(points: &[Point]) -> u64 {
 /// start of each round and (with audits on) the post-move configuration at
 /// the end, which is exactly the next round's start-of-round configuration —
 /// so in steady state each distinct configuration is analysed once.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AnalysisCache {
     entry: Option<Entry>,
     computed: u64,
@@ -168,8 +170,6 @@ pub struct AnalysisCache {
     /// Memo hits served by [`AnalysisCache::analyse_dirty`] purely from
     /// the empty dirty set, i.e. without hashing or comparing any point.
     dirty_skips: u64,
-    /// Whether cache misses seed Weiszfeld with the last known Weber point.
-    warm_start: bool,
     /// The most recent Weber point any analysis computed, surviving rounds
     /// whose class skips the numeric computation (e.g. `A → M → A`
     /// sequences keep their warmth through the `M` rounds).
@@ -181,23 +181,6 @@ pub struct AnalysisCache {
     left: Vec<Point>,
     arrived: Vec<Point>,
     merged: Vec<(Point, usize)>,
-}
-
-impl Default for AnalysisCache {
-    fn default() -> Self {
-        AnalysisCache {
-            entry: None,
-            computed: 0,
-            hits: 0,
-            dirty_skips: 0,
-            warm_start: true,
-            last_weber: None,
-            sort_buf: Vec::new(),
-            left: Vec::new(),
-            arrived: Vec::new(),
-            merged: Vec::new(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -299,22 +282,15 @@ fn merge_moves(
 }
 
 impl AnalysisCache {
-    /// An empty cache (warm starts enabled).
+    /// An empty cache.
     pub fn new() -> Self {
         AnalysisCache::default()
-    }
-
-    /// Enables or disables Weiszfeld warm starts on cache misses (enabled
-    /// by default; the cold path exists for ablation measurements).
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.warm_start = enabled;
     }
 
     /// The analysis of `config`: served from the memo when the point
     /// sequence is identical to the previous call's, recomputed (and
     /// memoized) otherwise. Recomputation warm-starts the numeric Weber
-    /// iteration from the last known Weber point (Lemma 3.2) unless warm
-    /// starts are disabled.
+    /// iteration from the last known Weber point (Lemma 3.2).
     pub fn analyse(&mut self, config: &Configuration, tol: Tol) -> RoundAnalysis {
         let fp = fingerprint(config.points());
         if let Some(e) = &self.entry {
@@ -325,12 +301,7 @@ impl AnalysisCache {
                 return e.analysis;
             }
         }
-        let hint = if self.warm_start {
-            self.last_weber
-        } else {
-            None
-        };
-        let analysis = RoundAnalysis::compute_hinted(config, tol, hint);
+        let analysis = RoundAnalysis::compute_hinted(config, tol, self.last_weber);
         self.computed += 1;
         if analysis.weber_hint.is_some() {
             self.last_weber = analysis.weber_hint;
@@ -413,11 +384,6 @@ impl AnalysisCache {
             return e.analysis;
         }
 
-        let hint = if self.warm_start {
-            self.last_weber
-        } else {
-            None
-        };
         {
             let e = self.entry.as_mut().expect("usable entry");
             if !e.distinct_valid {
@@ -446,7 +412,8 @@ impl AnalysisCache {
             }
         }
         let e = self.entry.as_ref().expect("usable entry");
-        let (analysis, weber_seen) = classify_hinted_with_distinct(config, tol, hint, &e.distinct);
+        let (analysis, weber_seen) =
+            classify_hinted_with_distinct(config, tol, self.last_weber, &e.distinct);
         let analysis = RoundAnalysis::from_classification(config, tol, analysis, weber_seen);
         self.computed += 1;
         if analysis.weber_hint.is_some() {
@@ -526,7 +493,6 @@ impl AnalysisCache {
         self.computed = 0;
         self.hits = 0;
         self.dirty_skips = 0;
-        self.warm_start = true;
         self.last_weber = None;
     }
 
@@ -656,7 +622,6 @@ mod tests {
         let expect = fresh.analyse(&c, t());
 
         let mut recycled = AnalysisCache::new();
-        recycled.set_warm_start(false);
         let _ = recycled.analyse(&c, t());
         let _ = recycled.analyse(&square().map(|p| Point::new(p.x + 1.0, p.y)), t());
         recycled.reset();

@@ -96,7 +96,10 @@ pub fn quasi_regular_with_center(config: &Configuration, p: Point, tol: Tol) -> 
 /// below keeps that test for the differential tests):
 ///
 /// * `m` runs downwards and the first `m` that passes wins — the largest;
-/// * an `m` is left once its deficiency exceeds `mult_p`: it only grows;
+/// * an `m` is left once its deficiency exceeds `mult_p`: it only grows.
+///   Within an orbit, every empty slot found so far adds at least 1 to
+///   it (slot 0 always finds a bucket, so the orbit's maximum is at
+///   least 1), and an orbit stops once those slots alone exceed `mult_p`;
 /// * an `m` with `m·⌈B/m⌉ − B > mult_p`, for `B` direction buckets, is
 ///   skipped. In a passing `m` every orbit claims its own base at slot 0
 ///   (otherwise the lowest orbit that does not claims a visited bucket
@@ -136,7 +139,7 @@ fn orbits_complete(buckets: &[(f64, usize)], m: usize, mult_p: usize) -> bool {
         }
         // The orbit of direction i under rotation by 2π/m: m slots.
         let base = buckets[i].0;
-        let (mut filled, mut obj) = (0usize, 0usize);
+        let (mut filled, mut obj, mut empty) = (0usize, 0usize, 0usize);
         for j in 0..m {
             let target = base + step * j as f64;
             if let Some(k) = slot_bucket(buckets, target) {
@@ -148,6 +151,14 @@ fn orbits_complete(buckets: &[(f64, usize)], m: usize, mult_p: usize) -> bool {
                 visited[k] = true;
                 filled += buckets[k].1;
                 obj = obj.max(buckets[k].1);
+            } else {
+                // Slot 0 always finds a bucket (at least the base's own),
+                // so the orbit's maximum is at least 1 and each empty
+                // slot adds at least 1 to the deficiency.
+                empty += 1;
+                if deficiency + empty > mult_p {
+                    return false;
+                }
             }
         }
         deficiency += m * obj - filled;
@@ -174,6 +185,42 @@ fn slot_bucket(buckets: &[(f64, usize)], target: f64) -> Option<usize> {
         .chain(run(t - slack, t + slack))
         .chain(run(t - slack + TAU, f64::INFINITY))
         .find(|&k| circ_diff(buckets[k].0, target) <= ANGLE_EPS)
+}
+
+/// [`orbits_complete`] without the empty-slot exit: every slot of an
+/// orbit is scanned before the deficiency is checked. The differential
+/// tests hold the fast version to it.
+#[cfg(test)]
+fn orbits_complete_oracle(buckets: &[(f64, usize)], m: usize, mult_p: usize) -> bool {
+    let step = TAU / m as f64;
+    let mut visited = vec![false; buckets.len()];
+    let mut deficiency: usize = 0;
+    for i in 0..buckets.len() {
+        if visited[i] {
+            continue;
+        }
+        // The orbit of direction i under rotation by 2π/m: m slots.
+        let base = buckets[i].0;
+        let (mut filled, mut obj) = (0usize, 0usize);
+        for j in 0..m {
+            let target = base + step * j as f64;
+            if let Some(k) = slot_bucket(buckets, target) {
+                if visited[k] && k != i {
+                    // Slot already claimed by another orbit: the orbits
+                    // overlap inconsistently under this m.
+                    return false;
+                }
+                visited[k] = true;
+                filled += buckets[k].1;
+                obj = obj.max(buckets[k].1);
+            }
+        }
+        deficiency += m * obj - filled;
+        if deficiency > mult_p {
+            return false;
+        }
+    }
+    true
 }
 
 /// The exhaustive Lemma 3.4 test: every `m`, every orbit, every slot by
@@ -799,6 +846,70 @@ mod tests {
             detected += usize::from(quasi_regular_with_center(&c, Point::ORIGIN, t()).is_some());
         }
         assert!(detected >= 30, "only {detected} centres were quasi-regular");
+    }
+
+    /// [`orbits_complete`] against its full scan at `p`, for every `m` in
+    /// `ms` and spare-robot budgets around the real one (the centre zone's
+    /// count), so both outcomes occur.
+    fn assert_same_orbits(c: &Configuration, p: Point, ms: impl Iterator<Item = usize>) {
+        let buckets = direction_buckets(c, p, t());
+        if buckets.is_empty() {
+            return;
+        }
+        let zone = center_zone_radius(c, p, t());
+        let spare = gather_geom::soa::radial_pull(c.soa(), p, zone).1;
+        for m in ms {
+            for mult_p in [0, 1, 2, spare, spare + 3, m] {
+                assert_eq!(
+                    orbits_complete(&buckets, m, mult_p),
+                    orbits_complete_oracle(&buckets, m, mult_p),
+                    "m={m}, budget {mult_p} at {p:?} in {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn orbit_exit_matches_the_full_scan_on_the_t4_and_t6_galleries() {
+        for n in [4usize, 6, 8, 12, 16, 24, 32] {
+            for seed in 0..2u64 {
+                let k = (n / 2).max(2);
+                let mut gallery = vec![
+                    gather_workloads::regular_polygon(n, 3.0, seed as f64 * 0.21),
+                    gather_workloads::biangular(k, TAU / (2.3 * k as f64), 2.0, 4.5),
+                    gather_workloads::quasi_regular(k, 2, seed),
+                    gather_workloads::ring_with_center(n.saturating_sub(1).max(3), 1, 3.0),
+                    gather_workloads::asymmetric(n.max(4), seed),
+                    gather_workloads::random_scatter(n, 8.0, seed * 31 + n as u64),
+                    gather_workloads::axially_symmetric(n / 2, 1, seed),
+                ];
+                gallery.extend(
+                    gather_workloads::class_sweep(n, 1)
+                        .into_iter()
+                        .map(|(_, _, pts)| pts),
+                );
+                for pts in gallery {
+                    let c = Configuration::canonical(pts, t());
+                    for p in c.distinct_points() {
+                        assert_same_orbits(&c, p, 2..=c.len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn orbit_exit_matches_the_full_scan_at_a_robot_on_the_weber_point() {
+        // The case the exit is for: at n = 4096, every m ≥ 3142 has
+        // 2π/m ≤ 2·ANGLE_EPS, so the bucket-count skip does not apply and
+        // each such m is decided by the empty slots of its first orbits.
+        let n = 4096;
+        let mut pts = gather_workloads::random_scatter(n, 10.0, n as u64);
+        pts.pop();
+        let w = weber_point_weiszfeld(&pts, t()).point;
+        pts.push(w);
+        let unskipped = (2..=n).filter(|&m| TAU / m as f64 <= 2.0 * ANGLE_EPS);
+        assert_same_orbits(&Configuration::new(pts), w, unskipped);
     }
 
     #[test]

@@ -376,7 +376,6 @@ impl AsyncEngineBuilder {
                 frame_source: FrameSource::new(self.frames),
                 tol: self.tol,
                 delta: self.delta,
-                shared_analysis: true,
                 check_invariants: self.check_invariants,
                 started_bivalent,
                 incremental: true,
@@ -765,15 +764,14 @@ impl AsyncEngine {
             let me = self.positions[i];
             let view = &self.views[i];
             let local_dest = {
-                let snap = match &shared {
-                    Some(ra) if view.version == self.config_version => {
-                        Snapshot::with_analysis_borrowed(
-                            &view.local,
-                            view.me_local,
-                            ra.map_target(|t| view.frame.apply(t)).analysis,
-                        )
-                    }
-                    _ => Snapshot::borrowed(&view.local, view.me_local),
+                let snap = if view.version == self.config_version {
+                    Snapshot::with_analysis_borrowed(
+                        &view.local,
+                        view.me_local,
+                        shared.map_target(|t| view.frame.apply(t)).analysis,
+                    )
+                } else {
+                    Snapshot::borrowed(&view.local, view.me_local)
                 };
                 self.core.algorithm.destination(&snap)
             };
@@ -819,7 +817,7 @@ impl AsyncEngine {
                         self.tick,
                         &self.positions,
                         &mut [],
-                        shared.as_ref(),
+                        &shared,
                         &mut scratch,
                     );
                     self.core.stage_apply(&self.positions, &mut scratch);
@@ -859,7 +857,7 @@ impl AsyncEngine {
             self.core.stage_audits(
                 self.tick,
                 &self.positions,
-                shared.as_ref(),
+                &shared,
                 &mut scratch,
                 &mut self.violations,
             );

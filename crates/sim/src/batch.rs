@@ -48,10 +48,9 @@ use gather_geom::{Point, Tol};
 /// execution use none of them, and each would smuggle per-lane state into
 /// the shared arena. Scenarios needing those run on the sequential
 /// engine; stale observations are the event-heap
-/// [`AsyncEngine`](crate::async_engine::AsyncEngine)'s domain. Nor are
-/// the builder's analysis switches here: every lane runs the shared,
-/// warm-started, incremental analysis, and the ablations and the
-/// full-recompute reference are built with
+/// [`AsyncEngine`](crate::async_engine::AsyncEngine)'s domain. Nor is
+/// the builder's `incremental` switch here: every lane runs the
+/// incremental analysis, and the full-recompute reference is built with
 /// [`EngineBuilder`](crate::engine::EngineBuilder).
 pub struct LaneSpec {
     /// Initial robot positions (canonicalised on admission, exactly as the
@@ -373,7 +372,6 @@ impl BatchEngine {
                 frame_source: FrameSource::new(spec.frames),
                 tol: spec.tol,
                 delta: spec.delta,
-                shared_analysis: true,
                 check_invariants: spec.check_invariants,
                 started_bivalent,
                 incremental: true,
@@ -479,13 +477,9 @@ impl BatchEngine {
             .stage_crashes(lane.round, alive, &mut self.scratch);
         lane.core
             .stage_activate(lane.round, alive, &mut self.scratch);
-        let travel = lane.core.stage_moves(
-            lane.round,
-            &self.aos,
-            &mut [],
-            shared.as_ref(),
-            &mut self.scratch,
-        );
+        let travel =
+            lane.core
+                .stage_moves(lane.round, &self.aos, &mut [], &shared, &mut self.scratch);
         lane.core.stage_apply(&self.aos, &mut self.scratch);
         // Scatter the canonicalised positions back into the columns (the
         // sequential engine swaps vectors instead; same values).
@@ -499,7 +493,7 @@ impl BatchEngine {
             lane.core.stage_audits(
                 lane.round,
                 &self.aos,
-                shared.as_ref(),
+                &shared,
                 &mut self.scratch,
                 &mut lane.violations,
             );

@@ -24,7 +24,7 @@ use crate::scheduler::{EveryRobot, Scheduler};
 use crate::snapshot::Snapshot;
 use crate::trace::{RoundRecord, Trace};
 use gather_config::{
-    canonicalize_into, canonicalize_sorted_into, classify, classify_invocations, lex_order_into,
+    canonicalize_into, canonicalize_sorted_into, classify_invocations, lex_order_into,
     lex_order_update, AnalysisCache, CanonScratch, Class, Configuration, RoundAnalysis,
 };
 use gather_geom::soa::diff_indices;
@@ -109,7 +109,6 @@ pub(crate) struct StepCore {
     pub(crate) frame_source: FrameSource,
     pub(crate) tol: Tol,
     pub(crate) delta: f64,
-    pub(crate) shared_analysis: bool,
     pub(crate) check_invariants: bool,
     pub(crate) started_bivalent: bool,
     pub(crate) incremental: bool,
@@ -178,20 +177,12 @@ impl StepCore {
     }
 
     /// The single shared analysis of the start-of-round configuration
-    /// (already loaded into `scratch.config`) and the round's class. `None`
-    /// analysis in the ablation mode: each consumer then classifies for
-    /// itself, as the seed did.
-    pub(crate) fn stage_classify(&mut self, scratch: &Scratch) -> (Option<RoundAnalysis>, Class) {
-        let shared: Option<RoundAnalysis> = if self.shared_analysis {
-            Some(self.analyse_shared(&scratch.config))
-        } else {
-            None
-        };
-        let class = match &shared {
-            Some(ra) => ra.analysis.class,
-            None => classify(&scratch.config, self.tol).class,
-        };
-        (shared, class)
+    /// (already loaded into `scratch.config`) and the round's class. Every
+    /// robot activated this round LOOKs at this configuration (ATOM), so
+    /// the one analysis serves them all.
+    pub(crate) fn stage_classify(&mut self, scratch: &Scratch) -> (RoundAnalysis, Class) {
+        let shared = self.analyse_shared(&scratch.config);
+        (shared, shared.analysis.class)
     }
 
     /// The one shared-analysis entry point: the incremental path routes
@@ -217,7 +208,7 @@ impl StepCore {
         // memoized configuration — which `stage_classify` just made equal
         // to `scratch.config` — so a valid cached copy replaces the
         // O(n log n) sort with an O(|U(C)|) copy.
-        if self.incremental && self.shared_analysis {
+        if self.incremental {
             if let Some(d) = self.analysis_cache.distinct_cached() {
                 scratch.distinct.clear();
                 scratch.distinct.extend_from_slice(d);
@@ -264,16 +255,16 @@ impl StepCore {
     /// round's total travel.
     ///
     /// Robots observe `scratch.config`, so `shared` — its analysis — is
-    /// attached to every robot snapshot. `byzantine` may be shorter than
-    /// the robot count (the batch and async paths pass an empty slice:
-    /// they never carry byzantine robots); missing entries mean "not
-    /// byzantine".
+    /// attached to every robot snapshot, its target carried into the
+    /// robot's frame. `byzantine` may be shorter than the robot count (the
+    /// batch and async paths pass an empty slice: they never carry
+    /// byzantine robots); missing entries mean "not byzantine".
     pub(crate) fn stage_moves(
         &mut self,
         round: u64,
         positions: &[Point],
         byzantine: &mut [Option<Box<dyn ByzantinePolicy>>],
-        shared: Option<&RoundAnalysis>,
+        shared: &RoundAnalysis,
         scratch: &mut Scratch,
     ) -> f64 {
         scratch.new_positions.clear();
@@ -297,14 +288,11 @@ impl StepCore {
                 // Attach the shared analysis with its target carried into
                 // the robot's frame — class, n and qreg are invariant under
                 // the orientation-preserving frame similarity.
-                let snap = match shared {
-                    Some(ra) => Snapshot::with_analysis_borrowed(
-                        &scratch.local,
-                        local_me,
-                        ra.map_target(|t| frame.apply(t)).analysis,
-                    ),
-                    None => Snapshot::borrowed(&scratch.local, local_me),
-                };
+                let snap = Snapshot::with_analysis_borrowed(
+                    &scratch.local,
+                    local_me,
+                    shared.map_target(|t| frame.apply(t)).analysis,
+                );
                 let local_dest = self.algorithm.destination(&snap);
                 frame.inverse().apply(local_dest)
             };
@@ -348,10 +336,10 @@ impl StepCore {
             );
             return;
         }
-        // With the shared pipeline on, `stage_classify` consumed the
-        // previous round's pending set earlier this round; overwriting an
-        // unconsumed one would desynchronise the cache memo.
-        debug_assert!(!self.shared_analysis || self.pending_dirty.is_empty());
+        // `stage_classify` consumed the previous round's pending set
+        // earlier this round; overwriting an unconsumed one would
+        // desynchronise the cache memo.
+        debug_assert!(self.pending_dirty.is_empty());
         let Scratch {
             new_positions,
             canon_out,
@@ -385,7 +373,7 @@ impl StepCore {
         &mut self,
         round: u64,
         post: &[Point],
-        shared: Option<&RoundAnalysis>,
+        shared: &RoundAnalysis,
         scratch: &mut Scratch,
         violations: &mut Vec<String>,
     ) {
@@ -413,12 +401,8 @@ impl StepCore {
         scratch: &mut Scratch,
     ) -> Point {
         scratch.config.copy_from_slice(positions);
-        let snap = if self.shared_analysis {
-            let ra = self.analyse_shared(&scratch.config);
-            Snapshot::with_analysis_borrowed(&scratch.config, at, ra.analysis)
-        } else {
-            Snapshot::borrowed(&scratch.config, at)
-        };
+        let ra = self.analyse_shared(&scratch.config);
+        let snap = Snapshot::with_analysis_borrowed(&scratch.config, at, ra.analysis);
         self.algorithm.destination(&snap)
     }
 
@@ -461,18 +445,14 @@ impl StepCore {
         round: u64,
         config: &Configuration,
         distinct: &[(Point, usize)],
-        shared: Option<&RoundAnalysis>,
+        shared: &RoundAnalysis,
         violations: &mut Vec<String>,
     ) {
         if distinct.len() <= 1 {
             return; // gathered — `Configuration::is_gathered` would allocate
         }
         // The bivalent class is outside the algorithm's contract.
-        let class = match shared {
-            Some(ra) => ra.analysis.class,
-            None => classify(config, self.tol).class,
-        };
-        if class == Class::Bivalent {
+        if shared.analysis.class == Class::Bivalent {
             return;
         }
         let mut staying = 0usize;
@@ -480,10 +460,7 @@ impl StepCore {
             // The audit evaluates in the global frame, so the shared
             // analysis applies verbatim (identity transform) and the
             // configuration is lent, not cloned, per location.
-            let snap = match shared {
-                Some(ra) => Snapshot::with_analysis_borrowed(config, *p, ra.analysis),
-                None => Snapshot::borrowed(config, *p),
-            };
+            let snap = Snapshot::with_analysis_borrowed(config, *p, shared.analysis);
             let dest = self.algorithm.destination(&snap);
             // Mirrors the engine's own "do not move" rule exactly.
             if dest.within(*p, self.tol.abs) {
@@ -509,15 +486,10 @@ impl StepCore {
         if self.started_bivalent {
             return;
         }
-        // With the shared pipeline this analysis is memoized and becomes
-        // the next round's start-of-round cache hit, so the audit costs no
-        // extra steady-state classification.
-        let class = if self.shared_analysis {
-            self.analyse_shared(post).analysis.class
-        } else {
-            classify(post, self.tol).class
-        };
-        if class == Class::Bivalent {
+        // This analysis is memoized and becomes the next round's
+        // start-of-round cache hit, so the audit costs no extra
+        // steady-state classification.
+        if self.analyse_shared(post).analysis.class == Class::Bivalent {
             violations.push(format!(
                 "round {round}: execution entered the bivalent class"
             ));
@@ -571,10 +543,7 @@ pub struct EngineBuilder {
     delta: f64,
     record_positions: bool,
     check_invariants: bool,
-    shared_analysis: bool,
-    warm_start: bool,
     incremental: bool,
-    reuse_buffers: bool,
     trace_capacity: Option<usize>,
     recycled: Option<EngineParts>,
     obs: Option<EngineObs>,
@@ -648,32 +617,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables the shared per-round analysis (default: on).
-    ///
-    /// When on, the engine classifies the start-of-round configuration
-    /// **once**, memoizes it across unchanged rounds, and attaches the
-    /// result (target frame-transformed) to every activated robot's
-    /// snapshot; algorithms and audits consume the shared result instead of
-    /// re-running `classify` per robot. Sound in the ATOM model because all
-    /// activated robots LOOK at the same configuration and the analysis is
-    /// a pure function of it. Off reproduces the naive per-robot
-    /// classification — kept for the B1 ablation that quantifies the
-    /// speedup.
-    pub fn shared_analysis(mut self, on: bool) -> Self {
-        self.shared_analysis = on;
-        self
-    }
-
-    /// Enables or disables warm-starting the Weiszfeld iteration inside the
-    /// shared analysis from the previous round's Weber point (default: on).
-    /// Lemma 3.2 keeps the Weber point invariant while robots move toward
-    /// it, so the previous target is a near-perfect initial iterate; the
-    /// cold path exists for the B1 ablation quantifying the saving.
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Selects the incremental dirty-tracked re-analysis every engine
     /// driver runs (default: on) or, with `false`, the full-recompute
     /// reference it is checked against (tests and `b11_largen` only).
@@ -688,15 +631,6 @@ impl EngineBuilder {
     /// see DESIGN.md §15.
     pub fn incremental(mut self, on: bool) -> Self {
         self.incremental = on;
-        self
-    }
-
-    /// Enables or disables round-loop scratch-buffer reuse (default: on).
-    /// When off, every round starts from fresh buffers — the allocation
-    /// behaviour of the pre-scratch engine, kept for the B1 ablation
-    /// (clone vs scratch).
-    pub fn reuse_buffers(mut self, on: bool) -> Self {
-        self.reuse_buffers = on;
         self
     }
 
@@ -775,22 +709,15 @@ impl EngineBuilder {
         // or warm-start hints would leak one run's state into the next);
         // reset keeps only the heap capacity.
         analysis_cache.reset();
-        analysis_cache.set_warm_start(self.warm_start);
         scratch.config.copy_from_slice(&positions);
-        // The bivalent pre-check goes through the cache when the shared
-        // pipeline is on: round 1 analyses the same configuration and hits
-        // the memo instead of classifying a throwaway copy cold. The
-        // ablation mode keeps the cache untouched (its contract is that
-        // per-robot runs never consult it) and classifies directly.
-        let started_bivalent = if self.shared_analysis {
-            analysis_cache
-                .analyse(&scratch.config, self.tol)
-                .analysis
-                .class
-                == Class::Bivalent
-        } else {
-            classify(&scratch.config, self.tol).class == Class::Bivalent
-        };
+        // The bivalent pre-check goes through the cache: round 1 analyses
+        // the same configuration and hits the memo instead of classifying
+        // a throwaway copy cold.
+        let started_bivalent = analysis_cache
+            .analyse(&scratch.config, self.tol)
+            .analysis
+            .class
+            == Class::Bivalent;
         let mut byzantine: Vec<Option<Box<dyn ByzantinePolicy>>> = (0..n).map(|_| None).collect();
         for (robot, policy) in self.byzantine {
             assert!(robot < n, "byzantine robot index {robot} out of range");
@@ -811,7 +738,6 @@ impl EngineBuilder {
                 frame_source: FrameSource::new(self.frames),
                 tol: self.tol,
                 delta: self.delta,
-                shared_analysis: self.shared_analysis,
                 check_invariants: self.check_invariants,
                 started_bivalent,
                 incremental: self.incremental,
@@ -827,7 +753,6 @@ impl EngineBuilder {
             record_positions: self.record_positions,
             trace,
             violations: Vec::new(),
-            reuse_buffers: self.reuse_buffers,
             scratch,
             last_record: RoundRecord::default(),
             obs: self.obs,
@@ -866,7 +791,6 @@ pub struct Engine {
     record_positions: bool,
     trace: Trace,
     violations: Vec<String>,
-    reuse_buffers: bool,
     scratch: Scratch,
     last_record: RoundRecord,
     obs: Option<EngineObs>,
@@ -887,10 +811,7 @@ impl Engine {
             delta: 0.01,
             record_positions: false,
             check_invariants: true,
-            shared_analysis: true,
-            warm_start: true,
             incremental: true,
-            reuse_buffers: true,
             trace_capacity: None,
             recycled: None,
             obs: None,
@@ -1038,13 +959,8 @@ impl Engine {
         let solver_nanos_before = if timing { weiszfeld_nanos() } else { 0 };
         // The working buffers live outside `self` for the duration of the
         // round so they can be lent to snapshots while the engine's trait
-        // objects run. `reuse_buffers(false)` is the ablation reproducing
-        // the pre-scratch allocation behaviour: every round starts cold.
-        let mut scratch = if self.reuse_buffers {
-            std::mem::take(&mut self.scratch)
-        } else {
-            Scratch::default()
-        };
+        // objects run.
+        let mut scratch = std::mem::take(&mut self.scratch);
         scratch.config.copy_from_slice(&self.positions);
         timer.lap(Phase::Snapshot);
         // The single shared analysis of the start-of-round configuration —
@@ -1069,7 +985,7 @@ impl Engine {
             self.round,
             &self.positions,
             &mut self.byzantine,
-            shared.as_ref(),
+            &shared,
             &mut scratch,
         );
 
@@ -1089,7 +1005,7 @@ impl Engine {
             self.core.stage_audits(
                 self.round,
                 &self.positions,
-                shared.as_ref(),
+                &shared,
                 &mut scratch,
                 &mut self.violations,
             );
@@ -1120,9 +1036,7 @@ impl Engine {
             }
         }
         self.round += 1;
-        if self.reuse_buffers {
-            self.scratch = scratch;
-        }
+        self.scratch = scratch;
         &self.last_record
     }
 
@@ -1154,6 +1068,7 @@ mod tests {
     use crate::crash::CrashAtRounds;
     use crate::motion::AlwaysDelta;
     use crate::scheduler::SequentialSingle;
+    use gather_config::classify;
 
     /// Moves to the centroid of the observed configuration. Equivariant,
     /// oblivious — a convergence (not gathering) rule, fine for engine
@@ -1388,44 +1303,6 @@ mod tests {
             (records, computed, hits),
             (ref_records, ref_computed, ref_hits)
         );
-    }
-
-    #[test]
-    fn ablation_mode_classifies_per_robot() {
-        // With the shared pipeline off every activated robot classifies for
-        // itself (plus the record and the audits) — the O(n) redundancy the
-        // refactor removes.
-        let mut e = Engine::builder(spiral(32))
-            .algorithm(ClassTarget)
-            .shared_analysis(false)
-            .build();
-        let rec = e.step();
-        assert!(
-            rec.classifications > 32,
-            "expected per-robot classification, saw {}",
-            rec.classifications
-        );
-        assert_eq!(e.analysis_cache_stats(), (0, 0, 0));
-    }
-
-    #[test]
-    fn shared_analysis_does_not_change_the_run() {
-        // Same seeds, shared analysis on vs off: identical traces of
-        // positions (the analysis is a pure function of the snapshot, so
-        // sharing it must be observationally equivalent).
-        let run = |shared: bool| {
-            let mut e = Engine::builder(spiral(12))
-                .algorithm(ClassTarget)
-                .frames(FramePolicy::GlobalFrame)
-                .shared_analysis(shared)
-                .check_invariants(false)
-                .build();
-            for _ in 0..40 {
-                e.step();
-            }
-            e.positions().to_vec()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -28,8 +28,7 @@ cargo build --release -q -p gather-bench -p gather-serve
 
 BINS="t1_theorem51 t2_baselines t3_bivalent t4_qr_detection t5_waitfree \
       t6_classification t7_byzantine f1_scaling f2_delta f3_transitions \
-      f4_potential f5_crash_timing f6_staleness a1_ablations b1_throughput \
-      b7_scaling"
+      f4_potential f5_crash_timing f6_staleness a1_ablations b7_scaling"
 JOBS="${JOBS:-1}"
 
 # run_one BIN [extra args forwarded to the binary]

@@ -38,15 +38,7 @@ echo "== rustdoc (intra-doc links, warnings denied) =="
 # item otherwise leaves a dangling link that only a doc build notices.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-echo "== bench-smoke (B1 vs committed baseline) =="
-# Tiny B1 matrix under the counting allocator: fails on any steady-state
-# heap allocation in the scratch path, a warm-started Weiszfeld that is
-# not >=2x cheaper than cold, or a >20% rounds/sec regression of the
-# default engine against the committed record.
 smoke_out="$(mktemp -d)"
-cargo run --release --offline -p gather-bench --features alloc-audit \
-  --bin b1_throughput -- --quick --baseline BENCH_b1_throughput.json \
-  --out "$smoke_out"
 
 echo "== bench-smoke (B7 vs committed baseline, thread matrix) =="
 # Quick B7 run against the committed record: exercises the persistent
