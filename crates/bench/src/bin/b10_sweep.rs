@@ -47,11 +47,14 @@ const WIDTH: usize = 16;
 /// The timed probe grid: the sweep driver's cell shape (class × n ×
 /// scheduler × faults) concentrated on the expensive-classification
 /// classes `QR` and `A`, where the cold admission analysis (quasi-
-/// regularity detection plus the cold Weiszfeld run) dominates short
-/// scenarios — the regime a dense phase-diagram sweep multiplies fastest.
-/// Classes whose classification short-circuits early (`B`, `M`, `L`) run
-/// at parity on the batch path (never slower; see the identity grid and
-/// `tests/batch_identity.rs` for full-mix coverage). Audits are off on
+/// regularity detection plus the cold Weiszfeld run, and for `A` the
+/// safe-point election) is the largest single cost of a short scenario:
+/// on a 2-vCPU host about a third of a `QR` and over half of an `A`
+/// scenario on the map path, whose rounds (about 2.7 per scenario) cost
+/// the same on both paths. Classes whose classification short-circuits
+/// early (`B`, `M`, `L`) run at parity on the batch path (never slower;
+/// see the identity grid and `tests/batch_identity.rs` for full-mix
+/// coverage). Audits are off on
 /// both paths — the sweep measures raw scenario throughput and the b10
 /// contract compares equal configurations. Cell ordering keeps scenarios
 /// sharing an initial configuration consecutive, which is what the batch

@@ -2,7 +2,7 @@
 //!
 //! In the ATOM/SSYNC model every robot activated in a round LOOKs at the
 //! *same* start-of-round configuration, and the classification of Section IV
-//! (class, Weber target, symmetry) is a pure function of that configuration.
+//! (class and movement target) is a pure function of that configuration.
 //! Running [`classify`](crate::classify::classify) once per robot — as a naive reading of the per-robot
 //! COMPUTE phase suggests — therefore recomputes an identical result `n`
 //! times per round, with the Weiszfeld iteration inside quasi-regularity
@@ -18,8 +18,8 @@
 //! analysis.
 //!
 //! The engine threads a `RoundAnalysis` through each robot's snapshot after
-//! transforming the target into the robot's local frame; class, `n`,
-//! symmetry and `qreg` are invariant under the orientation-preserving
+//! transforming the target into the robot's local frame; class, `n` and
+//! `qreg` are invariant under the orientation-preserving
 //! similarities that relate robot frames, so they are shared verbatim. The
 //! equivalence of this shared path with a per-robot fresh classification is
 //! checked by the equivariance tests in the umbrella crate and by the
@@ -28,22 +28,20 @@
 
 use crate::classify::{classify_hinted, classify_hinted_with_distinct, Analysis, Class};
 use crate::configuration::Configuration;
-use crate::symmetry::rotational_symmetry;
 use gather_geom::{Point, Tol};
 use gather_prng::mix64;
 
 /// Everything the round needs to know about one configuration, computed
-/// once: the Section-IV classification (with its movement target) plus the
-/// rotational symmetry `sym(C)`.
+/// once: the Section-IV classification with its movement target.
+///
+/// It carries no rotational symmetry `sym(C)`: no movement rule reads it,
+/// and its view-based computation (one view per occupied location, each
+/// over all `n` robots) costs many times the classification. Callers that
+/// want it call [`rotational_symmetry`](crate::rotational_symmetry).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundAnalysis {
     /// The classification (class, `n`, target, `qreg`).
     pub analysis: Analysis,
-    /// Rotational symmetry `sym(C)` (Definition 3), when the class pins it
-    /// or the class makes it load-bearing; see [`RoundAnalysis::compute`]
-    /// for the policy and [`RoundAnalysis::symmetry`] for on-demand
-    /// computation of the `None` cases.
-    pub sym: Option<usize>,
     /// Fingerprint of the analysed point multiset (see [`fingerprint`]).
     pub fingerprint: u64,
     /// The numeric Weber point this analysis computed (or pinned, for
@@ -54,24 +52,8 @@ pub struct RoundAnalysis {
 }
 
 impl RoundAnalysis {
-    /// Analyses `config` from scratch (one [`classify`](crate::classify::classify) call plus the
-    /// symmetry policy below).
-    ///
-    /// `sym(C)` is *derived* from the classification wherever the
-    /// partition pins it, because the view-based computation costs as much
-    /// as several classifications and no movement rule consults it:
-    ///
-    /// * class `A` is by construction the `sym(C) = 1` remainder of
-    ///   Section IV.A (a symmetric configuration would have been caught by
-    ///   the quasi-regularity detector via its SEC centre);
-    /// * a gathered configuration trivially has `sym = 1`;
-    /// * class `B` always has `sym = 2` (the π-rotation about the midpoint
-    ///   exchanges the two equally-loaded points, so their views agree and
-    ///   the two locations form one equivalence class);
-    /// * class `QR` — the one class whose structure *is* its symmetry —
-    ///   pays for the full computation;
-    /// * `M`, `L1W`, `L2W` leave it `None`: nothing in the round consumes
-    ///   it, and callers that do want it use [`RoundAnalysis::symmetry`].
+    /// Analyses `config` from scratch: one
+    /// [`classify`](crate::classify::classify) call.
     pub fn compute(config: &Configuration, tol: Tol) -> Self {
         Self::compute_hinted(config, tol, None)
     }
@@ -83,29 +65,18 @@ impl RoundAnalysis {
     /// classes that never compute a numeric Weber point ignore it.
     pub fn compute_hinted(config: &Configuration, tol: Tol, hint: Option<Point>) -> Self {
         let (analysis, weber_seen) = classify_hinted(config, tol, hint);
-        RoundAnalysis::from_classification(config, tol, analysis, weber_seen)
+        RoundAnalysis::from_classification(config, analysis, weber_seen)
     }
 
-    /// The symmetry/warm-start policy shared by the full and incremental
-    /// analysis paths: applied to a classification however it was obtained,
-    /// so both paths derive `sym`, the Weber hint and the fingerprint
-    /// through identical code.
+    /// The warm-start policy shared by the full and incremental analysis
+    /// paths: applied to a classification however it was obtained, so both
+    /// paths derive the Weber hint and the fingerprint through identical
+    /// code.
     fn from_classification(
         config: &Configuration,
-        tol: Tol,
         analysis: Analysis,
         weber_seen: Option<Point>,
     ) -> Self {
-        let sym = match analysis.class {
-            Class::Asymmetric => Some(1),
-            Class::Bivalent => Some(2),
-            Class::QuasiRegular => Some(rotational_symmetry(config, tol)),
-            // All points bitwise equal ⇔ one distinct location (gathered);
-            // checked on the raw slice so steady-state M rounds stay
-            // allocation-free.
-            Class::Multiple if config.points().iter().all(|p| *p == config.points()[0]) => Some(1),
-            _ => None,
-        };
         // For QR the centre of quasi-regularity *is* the Weber point
         // (Lemma 3.3), so it doubles as a hint even when the occupied-centre
         // test decided without running Weiszfeld.
@@ -115,23 +86,14 @@ impl RoundAnalysis {
         });
         RoundAnalysis {
             analysis,
-            sym,
             fingerprint: fingerprint(config.points()),
             weber_hint,
         }
     }
 
-    /// The rotational symmetry `sym(C)`: the cached value when
-    /// [`RoundAnalysis::compute`] pinned it, the full view-based
-    /// computation otherwise. `config` must be the configuration this
-    /// analysis was computed from.
-    pub fn symmetry(&self, config: &Configuration, tol: Tol) -> usize {
-        self.sym.unwrap_or_else(|| rotational_symmetry(config, tol))
-    }
-
     /// The analysis with its target mapped through `f` — the orientation-
     /// preserving frame transform into a robot's local coordinates. Class,
-    /// `n`, `sym` and `qreg` are similarity-invariant and carried verbatim.
+    /// `n` and `qreg` are similarity-invariant and carried verbatim.
     pub fn map_target(self, f: impl Fn(Point) -> Point) -> Self {
         RoundAnalysis {
             analysis: Analysis {
@@ -414,7 +376,7 @@ impl AnalysisCache {
         let e = self.entry.as_ref().expect("usable entry");
         let (analysis, weber_seen) =
             classify_hinted_with_distinct(config, tol, self.last_weber, &e.distinct);
-        let analysis = RoundAnalysis::from_classification(config, tol, analysis, weber_seen);
+        let analysis = RoundAnalysis::from_classification(config, analysis, weber_seen);
         self.computed += 1;
         if analysis.weber_hint.is_some() {
             self.last_weber = analysis.weber_hint;
@@ -536,60 +498,6 @@ mod tests {
         let c = square();
         let ra = RoundAnalysis::compute(&c, t());
         assert_eq!(ra.analysis, classify(&c, t()));
-        // QR is the class that pays for the full symmetry computation.
-        assert_eq!(ra.sym, Some(rotational_symmetry(&c, t())));
-        assert_eq!(ra.symmetry(&c, t()), rotational_symmetry(&c, t()));
-    }
-
-    #[test]
-    fn deferred_symmetry_is_computed_on_demand() {
-        // Class M with a symmetric support: sym is not precomputed (no
-        // rule consumes it) but the accessor returns the true value.
-        let heavy = Point::new(0.0, 0.0);
-        let mut pts = square().points().to_vec();
-        pts.push(heavy);
-        pts.push(heavy);
-        let c = Configuration::new(pts);
-        let ra = RoundAnalysis::compute(&c, t());
-        assert_eq!(ra.analysis.class, Class::Multiple);
-        assert_eq!(ra.sym, None);
-        assert_eq!(ra.symmetry(&c, t()), rotational_symmetry(&c, t()));
-    }
-
-    #[test]
-    fn bivalent_symmetry_is_two() {
-        let p = Point::new(0.0, 0.0);
-        let q = Point::new(3.0, 1.0);
-        let c = Configuration::new(vec![p, p, q, q]);
-        let ra = RoundAnalysis::compute(&c, t());
-        assert_eq!(ra.analysis.class, Class::Bivalent);
-        assert_eq!(ra.sym, Some(2));
-        assert_eq!(rotational_symmetry(&c, t()), 2);
-    }
-
-    #[test]
-    fn asymmetric_short_circuit_agrees_with_full_symmetry() {
-        // The partition argument behind the class-A fast path, checked
-        // against the view-based computation it replaces.
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(3.0, 0.0),
-            Point::new(1.1, 2.3),
-            Point::new(-0.7, 1.2),
-            Point::new(2.2, -1.4),
-        ];
-        let c = Configuration::new(pts);
-        let ra = RoundAnalysis::compute(&c, t());
-        assert_eq!(ra.analysis.class, Class::Asymmetric);
-        assert_eq!(ra.sym, Some(1));
-        assert_eq!(rotational_symmetry(&c, t()), 1);
-    }
-
-    #[test]
-    fn gathered_configuration_has_symmetry_one() {
-        let c = Configuration::new(vec![Point::new(2.0, -1.0); 4]);
-        let ra = RoundAnalysis::compute(&c, t());
-        assert_eq!(ra.sym, Some(1));
     }
 
     #[test]
@@ -858,7 +766,6 @@ mod tests {
         assert_eq!(ra.analysis.class, Class::QuasiRegular);
         let shifted = ra.map_target(|p| Point::new(p.x + 5.0, p.y));
         assert_eq!(shifted.analysis.class, ra.analysis.class);
-        assert_eq!(shifted.sym, ra.sym);
         let t0 = ra.analysis.target.unwrap();
         assert_eq!(shifted.analysis.target, Some(Point::new(t0.x + 5.0, t0.y)));
     }

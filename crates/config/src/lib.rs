@@ -67,5 +67,5 @@ pub use quasi::{
 };
 pub use regularity::regularity_around;
 pub use safe::{elected_point, is_safe_point, safe_points};
-pub use symmetry::{rotational_symmetry, rotational_symmetry_dirty, symmetry_classes};
-pub use view::{view_of, View};
+pub use symmetry::{rotational_symmetry, symmetry_classes};
+pub use view::{view_of, view_scans, View};

@@ -73,31 +73,6 @@ pub fn is_asymmetric(config: &Configuration, tol: Tol) -> bool {
     rotational_symmetry(config, tol) == 1
 }
 
-/// [`rotational_symmetry`] for the incremental analysis path: reuses the
-/// `cached` value when no robot moved since it was computed (`dirty`
-/// empty) and recomputes otherwise.
-///
-/// A position's view (Definition 2) encodes the polar coordinates of
-/// *every* robot, so a single moved robot invalidates all views at once —
-/// there is no sound per-index patch of the equivalence classes. The
-/// incremental win for symmetry is therefore all-or-nothing: static
-/// rounds skip the computation entirely, and the classifier only requests
-/// symmetry for quasi-regular configurations in the first place (see
-/// DESIGN.md §15).
-pub fn rotational_symmetry_dirty(
-    config: &Configuration,
-    tol: Tol,
-    dirty: &[usize],
-    cached: Option<usize>,
-) -> usize {
-    if dirty.is_empty() {
-        if let Some(sym) = cached {
-            return sym;
-        }
-    }
-    rotational_symmetry(config, tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,19 +165,6 @@ mod tests {
         assert_eq!(rotational_symmetry(&Configuration::default(), t()), 0);
         let g = Configuration::new(vec![Point::new(1.0, 1.0); 6]);
         assert_eq!(rotational_symmetry(&g, t()), 1);
-    }
-
-    #[test]
-    fn dirty_symmetry_reuses_cache_only_on_static_rounds() {
-        let c = regular_ngon(6, 2.0, 0.0);
-        let sym = rotational_symmetry(&c, t());
-        // Static round: the cached value stands, even a (wrong) sentinel —
-        // proving no recompute happened.
-        assert_eq!(rotational_symmetry_dirty(&c, t(), &[], Some(99)), 99);
-        assert_eq!(rotational_symmetry_dirty(&c, t(), &[], Some(sym)), sym);
-        // No cache, or any dirty index: full recompute.
-        assert_eq!(rotational_symmetry_dirty(&c, t(), &[], None), sym);
-        assert_eq!(rotational_symmetry_dirty(&c, t(), &[3], Some(99)), sym);
     }
 
     #[test]

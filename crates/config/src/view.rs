@@ -104,6 +104,21 @@ impl std::fmt::Display for View {
     }
 }
 
+thread_local! {
+    /// Views built on this thread.
+    static VIEW_SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Total views built on the current thread since it started: calls of the
+/// one view kernel, each an O(n log n) pass over every robot. Monotone;
+/// callers diff two readings. Every view-based computation goes through
+/// this kernel ([`view_of`], the symmetry classes, the class-`A` election
+/// tie-breaks), so a zero difference proves a code region did no view
+/// work. Counting reads no point and changes no result.
+pub fn view_scans() -> u64 {
+    VIEW_SCANS.with(|c| c.get())
+}
+
 /// Builds the view of position `p` using `reference` as the zero direction
 /// and `unit` as the distance unit.
 fn view_with_reference(
@@ -113,6 +128,7 @@ fn view_with_reference(
     unit: f64,
     tol: Tol,
 ) -> View {
+    VIEW_SCANS.with(|c| c.set(c.get() + 1));
     let ref_dir = reference - p;
     let ref_angle = ref_dir.angle();
     let mut entries: Vec<(i64, i64)> = config

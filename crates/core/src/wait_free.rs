@@ -1,8 +1,9 @@
 //! The WAIT-FREE-GATHER dispatcher (Figure 2 of the paper).
 
 use crate::rules;
-use gather_config::{classify, Class};
+use gather_config::{classify, Analysis, Class, Configuration};
 use gather_geom::{Point, Tol};
+use gather_sim::algorithm::per_location_destinations;
 use gather_sim::prelude::{Algorithm, Snapshot};
 
 /// The paper's algorithm: crash-tolerant deterministic gathering in the
@@ -109,6 +110,30 @@ impl Algorithm for WaitFreeGather {
             },
             Class::Collinear2W => rules::collinear2w::destination(config, me, tol),
             Class::Bivalent => rules::bivalent::destination(config, me, tol),
+        }
+    }
+
+    /// Class `M` serves every location from one sorted index of the
+    /// occupied rays around the heavy point
+    /// ([`rules::multiple::destinations_with_fraction`]), bitwise equal to
+    /// the per-robot rule; every other class loops over
+    /// [`Algorithm::destination`].
+    fn destinations(
+        &self,
+        config: &Configuration,
+        analysis: &Analysis,
+        locations: &[(Point, usize)],
+        out: &mut Vec<Point>,
+    ) {
+        match (analysis.class, analysis.target) {
+            (Class::Multiple, Some(target)) => rules::multiple::destinations_with_fraction(
+                locations,
+                target,
+                self.tol,
+                self.sidestep_fraction,
+                out,
+            ),
+            _ => per_location_destinations(self, config, analysis, locations, out),
         }
     }
 }

@@ -16,13 +16,16 @@ pub const NUM_PHASES: usize = 5;
 pub enum Phase {
     /// Copying positions into scratch, distinct-point extraction, history.
     Snapshot,
-    /// Shared round analysis (class, symmetry, election) minus Weiszfeld.
+    /// Shared round analysis (class, target, election) minus Weiszfeld,
+    /// including the audits' analysis of the post-move configuration,
+    /// which the next round serves from the memo.
     Classify,
     /// Weber-point iterations inside classification.
     Weiszfeld,
     /// Look–Compute–Move over activated robots plus canonicalisation.
     Move,
-    /// Wait-freeness / never-bivalent invariant audits.
+    /// Wait-freeness / never-bivalent invariant audits, less the
+    /// post-move analysis charged to `Classify`.
     Invariants,
 }
 

@@ -1,6 +1,7 @@
 //! The robot algorithm interface (the COMPUTE phase).
 
 use crate::snapshot::Snapshot;
+use gather_config::{Analysis, Configuration};
 use gather_geom::Point;
 
 /// A deterministic, oblivious robot algorithm.
@@ -40,6 +41,44 @@ pub trait Algorithm {
     /// Computes the destination for the robot observing `snap`, in the
     /// snapshot's own coordinate frame.
     fn destination(&self, snap: &Snapshot) -> Point;
+
+    /// The destination of a robot at each of `locations`, all observing
+    /// `config` in its frame, into `out` (cleared first; one entry per
+    /// location, in order). `analysis` is the analysis of `config`, and
+    /// `locations` its distinct occupied locations `U(C)` with their
+    /// multiplicities.
+    ///
+    /// Each entry must equal [`Algorithm::destination`] on the snapshot of
+    /// a robot at that location, bit for bit: this is the batched form the
+    /// engine's wait-freeness audit calls once per round. The default runs
+    /// [`per_location_destinations`]; an algorithm overrides it where one
+    /// shared computation serves every location.
+    fn destinations(
+        &self,
+        config: &Configuration,
+        analysis: &Analysis,
+        locations: &[(Point, usize)],
+        out: &mut Vec<Point>,
+    ) {
+        per_location_destinations(self, config, analysis, locations, out);
+    }
+}
+
+/// [`Algorithm::destinations`] by one [`Algorithm::destination`] call per
+/// location: the default, and the fallback of overrides for the cases
+/// they do not batch.
+pub fn per_location_destinations<A: Algorithm + ?Sized>(
+    algorithm: &A,
+    config: &Configuration,
+    analysis: &Analysis,
+    locations: &[(Point, usize)],
+    out: &mut Vec<Point>,
+) {
+    out.clear();
+    for &(p, _) in locations {
+        let snap = Snapshot::with_analysis_borrowed(config, p, *analysis);
+        out.push(algorithm.destination(&snap));
+    }
 }
 
 impl<A: Algorithm + ?Sized> Algorithm for &A {
@@ -48,6 +87,15 @@ impl<A: Algorithm + ?Sized> Algorithm for &A {
     }
     fn destination(&self, snap: &Snapshot) -> Point {
         (**self).destination(snap)
+    }
+    fn destinations(
+        &self,
+        config: &Configuration,
+        analysis: &Analysis,
+        locations: &[(Point, usize)],
+        out: &mut Vec<Point>,
+    ) {
+        (**self).destinations(config, analysis, locations, out)
     }
 }
 
@@ -58,12 +106,20 @@ impl<A: Algorithm + ?Sized> Algorithm for Box<A> {
     fn destination(&self, snap: &Snapshot) -> Point {
         (**self).destination(snap)
     }
+    fn destinations(
+        &self,
+        config: &Configuration,
+        analysis: &Analysis,
+        locations: &[(Point, usize)],
+        out: &mut Vec<Point>,
+    ) {
+        (**self).destinations(config, analysis, locations, out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gather_config::Configuration;
 
     struct Stay;
     impl Algorithm for Stay {

@@ -50,6 +50,7 @@ use crate::snapshot::Snapshot;
 use crate::trace::{RoundRecord, Trace};
 use gather_config::{Class, Configuration};
 use gather_geom::{Point, Similarity, Tol};
+use gather_obs::PhaseTimer;
 use gather_prng::Rng;
 
 /// How long the Compute and Move phases take.
@@ -859,6 +860,7 @@ impl AsyncEngine {
                 &self.positions,
                 &shared,
                 &mut scratch,
+                &mut PhaseTimer::start(false),
                 &mut self.violations,
             );
         }

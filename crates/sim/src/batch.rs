@@ -38,6 +38,7 @@ use crate::trace::{RoundRecord, Trace};
 use gather_config::{AnalysisCache, Class, Configuration, RoundAnalysis};
 use gather_geom::soa::masked_max_dist2;
 use gather_geom::{Point, Tol};
+use gather_obs::PhaseTimer;
 
 /// One scenario for lockstep execution: the subset of the
 /// [`EngineBuilder`](crate::engine::EngineBuilder) surface that batch
@@ -495,6 +496,7 @@ impl BatchEngine {
                 &self.aos,
                 &shared,
                 &mut self.scratch,
+                &mut PhaseTimer::start(false),
                 &mut lane.violations,
             );
         }

@@ -62,6 +62,8 @@ pub(crate) struct Scratch {
     /// The incremental path's indices that canonicalisation changed
     /// (canonical output against the pending positions).
     pub(crate) dirty: Vec<usize>,
+    /// The wait-freeness audit's destination of each distinct location.
+    pub(crate) destinations: Vec<Point>,
 }
 
 /// The reusable heap-backed innards of a retired [`Engine`]: the round-loop
@@ -369,25 +371,32 @@ impl StepCore {
     /// start-of-round configuration (still in `scratch.config`), then the
     /// never-enter-`B` check on the post-move `post` (which overwrites
     /// `scratch.config` — the start-of-round one is no longer needed).
+    ///
+    /// `timer` charges the wait-freeness audit to `invariants` and the
+    /// post-move analysis to `classify`: that analysis is the next round's
+    /// start-of-round classification, which the next round then serves
+    /// from the memo.
     pub(crate) fn stage_audits(
         &mut self,
         round: u64,
         post: &[Point],
         shared: &RoundAnalysis,
         scratch: &mut Scratch,
+        timer: &mut PhaseTimer,
         violations: &mut Vec<String>,
     ) {
-        self.audit_wait_freeness(
-            round,
-            &scratch.config,
-            &scratch.distinct,
-            shared,
-            violations,
-        );
+        let Scratch {
+            config,
+            distinct,
+            destinations,
+            ..
+        } = scratch;
+        self.audit_wait_freeness(round, config, distinct, shared, destinations, violations);
         // The wait-freeness audit needed the start-of-round
         // configuration; recycle its buffer for the post-move one.
-        scratch.config.copy_from_slice(post);
-        self.audit_never_bivalent(round, &scratch.config, violations);
+        config.copy_from_slice(post);
+        timer.lap(Phase::Invariants);
+        self.audit_never_bivalent(round, config, timer, violations);
     }
 
     /// Destination the algorithm assigns to a robot at `at` over
@@ -438,14 +447,17 @@ impl StepCore {
     /// Lemma 5.1 audit: at most one occupied location may be told to stay.
     ///
     /// Destinations are evaluated per distinct location in the global
-    /// frame; by algorithm equivariance this matches what any robot at that
-    /// location would compute in its own frame.
+    /// frame, through the algorithm's batched
+    /// [`Algorithm::destinations`] into `destinations`; by algorithm
+    /// equivariance each matches what any robot at that location would
+    /// compute in its own frame.
     fn audit_wait_freeness(
         &mut self,
         round: u64,
         config: &Configuration,
         distinct: &[(Point, usize)],
         shared: &RoundAnalysis,
+        destinations: &mut Vec<Point>,
         violations: &mut Vec<String>,
     ) {
         if distinct.len() <= 1 {
@@ -455,18 +467,16 @@ impl StepCore {
         if shared.analysis.class == Class::Bivalent {
             return;
         }
-        let mut staying = 0usize;
-        for (p, _) in distinct {
-            // The audit evaluates in the global frame, so the shared
-            // analysis applies verbatim (identity transform) and the
-            // configuration is lent, not cloned, per location.
-            let snap = Snapshot::with_analysis_borrowed(config, *p, shared.analysis);
-            let dest = self.algorithm.destination(&snap);
+        // The audit evaluates in the global frame, so the shared analysis
+        // applies verbatim (identity transform).
+        self.algorithm
+            .destinations(config, &shared.analysis, distinct, destinations);
+        let staying = distinct
+            .iter()
+            .zip(destinations.iter())
             // Mirrors the engine's own "do not move" rule exactly.
-            if dest.within(*p, self.tol.abs) {
-                staying += 1;
-            }
-        }
+            .filter(|((p, _), dest)| dest.within(*p, self.tol.abs))
+            .count();
         if staying > 1 {
             violations.push(format!(
                 "round {round}: wait-freeness violated: {staying} locations told to stay in {config}"
@@ -476,11 +486,13 @@ impl StepCore {
 
     /// Nothing may ever transition *into* the bivalent class (Lemmas 5.6
     /// C1, 5.7) unless the execution started there. `post` is the
-    /// post-move configuration of the round being audited.
+    /// post-move configuration of the round being audited; its analysis
+    /// is charged to `classify`.
     fn audit_never_bivalent(
         &mut self,
         round: u64,
         post: &Configuration,
+        timer: &mut PhaseTimer,
         violations: &mut Vec<String>,
     ) {
         if self.started_bivalent {
@@ -489,7 +501,9 @@ impl StepCore {
         // This analysis is memoized and becomes the next round's
         // start-of-round cache hit, so the audit costs no extra
         // steady-state classification.
-        if self.analyse_shared(post).analysis.class == Class::Bivalent {
+        let class = self.analyse_shared(post).analysis.class;
+        timer.lap(Phase::Classify);
+        if class == Class::Bivalent {
             violations.push(format!(
                 "round {round}: execution entered the bivalent class"
             ));
@@ -1007,6 +1021,7 @@ impl Engine {
                 &self.positions,
                 &shared,
                 &mut scratch,
+                &mut timer,
                 &mut self.violations,
             );
         }
@@ -1022,9 +1037,10 @@ impl Engine {
         );
         if timing {
             // Carve the solver's own wall time (thread-local counter in
-            // gather-geom) out of the classification lap it ran inside;
-            // `transfer` clamps, so solver time spent in the audits phase
-            // can never drive classify negative. Then bank the round.
+            // gather-geom) out of the classification laps it ran inside
+            // (the round's analysis and the audits' post-move one);
+            // `transfer` clamps, so classify can never go negative. Then
+            // bank the round.
             timer.transfer(
                 Phase::Classify,
                 Phase::Weiszfeld,
