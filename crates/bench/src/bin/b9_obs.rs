@@ -21,11 +21,13 @@
 //! log-bucketed histograms.
 //!
 //! Writes `BENCH_b9_obs.json` — unless `--baseline PATH` or `--quick` is
-//! given, in which case the JSON goes to `--out` instead (a reduced or
-//! regression-check run never overwrites the committed record). With
-//! `--baseline` the committed record's `trace_schema` must match the
-//! pinned one (schema drift fails the run); the absent-mode throughput
-//! regression check runs only in full mode, since quick reduces the sweep.
+//! given, in which case the JSON goes to `--out` instead (a smoke or
+//! regression-check run never overwrites the committed record). Quick and
+//! full runs time the same sweep: the overhead gate is a ratio of medians,
+//! and a much shorter sweep cannot resolve its 2 % bar. With `--baseline`
+//! the committed record's `trace_schema` must match the pinned one (schema
+//! drift fails the run); the absent-mode throughput regression check runs
+//! only in full mode.
 
 use gather_bench::pool::{self, PoolObs, WorkerPool};
 use gather_bench::report;
@@ -76,23 +78,17 @@ impl Variant {
 /// the *random-subset* scheduler and *random-stop* motion adversary, so
 /// runs last dozens of rounds instead of converging in one synchronous
 /// step — the overhead gate needs sweeps that are milliseconds, not
-/// microseconds. `--quick` shrinks it (so the throughput-vs-baseline
-/// comparison is skipped there, but the overhead gate — a ratio within one
-/// run — still holds).
-fn sweep(quick: bool) -> Vec<Scenario> {
-    let (n, seeds, rounds) = if quick {
-        (12, 1, 1_500)
-    } else {
-        (14, 2, 3_000)
-    };
-    let mut out: Vec<Scenario> = workloads::class_sweep(n, seeds)
+/// microseconds.
+fn sweep() -> Vec<Scenario> {
+    let n = 14;
+    let mut out: Vec<Scenario> = workloads::class_sweep(n, 2)
         .into_iter()
         .map(|(_class, seed, initial)| {
             let mut s = Scenario::new(initial, seed);
             s.scheduler = "random";
             s.motion = "random";
             s.faults = 1;
-            s.max_rounds = rounds;
+            s.max_rounds = 3_000;
             s
         })
         .collect();
@@ -111,7 +107,7 @@ fn sweep(quick: bool) -> Vec<Scenario> {
     // Kept short: with invariant monitors on, each δ-creep round costs an
     // order of magnitude more than a class-sweep round, and this scenario
     // must not dominate the timed pass.
-    s.max_rounds = if quick { 40 } else { 60 };
+    s.max_rounds = 60;
     out.push(s);
     out
 }
@@ -181,8 +177,8 @@ fn json_keys(line: &str) -> Vec<String> {
 fn main() {
     let args = Args::parse();
     let mut failures: Vec<String> = Vec::new();
-    let samples = if args.quick { 48 } else { 80 };
-    let scenarios = sweep(args.quick);
+    let samples = 80;
+    let scenarios = sweep();
     let runs_per_pass = scenarios.len() as f64;
 
     // --- Overhead: absent vs disabled vs enabled, interleaved ----------
@@ -402,8 +398,8 @@ fn main() {
         // Regression-check mode: the committed record stays untouched,
         // fresh JSON goes to the out dir. Schema drift against the
         // committed record always fails; throughput comparison only runs
-        // in full mode (quick shrinks the sweep, so runs/s are not
-        // comparable to the committed full-size record).
+        // in full mode. A quick run gates the overhead ratio, the schema
+        // and determinism.
         let text = report::read_baseline(baseline_path);
         let base_schema_line = text
             .lines()
@@ -428,9 +424,7 @@ fn main() {
             println!("baseline trace schema matches the pinned order — ok");
         }
         let throughput_gate = if args.quick {
-            "skipped: quick mode shrinks the sweep; runs/s not comparable to the committed \
-             full-size record"
-                .to_string()
+            "skipped: quick mode compares overhead ratios only, not absolute runs/s".to_string()
         } else {
             let base_absent = text
                 .lines()

@@ -1,21 +1,27 @@
-//! Experiment harness shared by the per-table/per-figure runner binaries.
+//! Experiment harness shared by the table driver and the benchmark
+//! binaries.
 //!
 //! The paper is a theory paper with no empirical section, so the
 //! "evaluation" reproduced here is the explicit experiment plan of
-//! DESIGN.md §6 / EXPERIMENTS.md: every runner binary regenerates one
-//! table (T1–T6) or figure (F1–F5), printing a human-readable table and
-//! writing a CSV under `results/`.
+//! DESIGN.md §6 / EXPERIMENTS.md: the `tables` binary regenerates every
+//! theorem-shaped table (T1–T7, F1–F6 and A1), printing human-readable
+//! tables and writing CSVs and their text under `results/`; the `bX_*`
+//! binaries, `sweep` and `f7_boundary` measure and map on their own.
 //!
 //! The harness provides:
 //!
 //! * [`Args`] — uniform CLI parsing (`--trials N`, `--out DIR`,
-//!   `--quick`);
+//!   `--quick`, `--baseline PATH`);
+//! * [`tables`] — the result tables, one function each;
 //! * [`factory`] — algorithms/schedulers/motion adversaries by name, so
 //!   sweeps are data-driven;
 //! * [`runner`] — single-scenario execution with per-thread engine
 //!   recycling, plus a parallel map over the persistent worker pool;
+//! * [`sweep`] — batched execution of scenario grids on `BatchEngine`
+//!   lanes;
 //! * [`pool`] — the long-lived worker pool behind `runner::parallel_map`
 //!   (worker count from `GATHER_THREADS` or available parallelism);
+//! * [`report`] — the benchmarks' record and gate plumbing;
 //! * [`table`] — aligned text tables + CSV output.
 
 use std::path::PathBuf;
@@ -26,8 +32,9 @@ pub mod report;
 pub mod runner;
 pub mod sweep;
 pub mod table;
+pub mod tables;
 
-/// Common command-line arguments for experiment binaries.
+/// Common command-line arguments for the table driver and benchmarks.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Number of independent trials per cell (seeds `0..trials`).

@@ -190,29 +190,40 @@ impl Scenario {
     /// only differ by the flags they flip on top.
     fn engine_builder(&self, parts: EngineParts) -> EngineBuilder {
         let n = self.initial.len();
-        let wait_free = self.algorithm == "wait-free-gather" && self.audit;
         Engine::builder(self.initial.clone())
             .algorithm(factory::algorithm(self.algorithm))
             .scheduler(factory::scheduler(self.scheduler, n, self.seed))
             .motion(factory::motion(self.motion, self.seed.wrapping_add(1)))
-            .crash_plan(RandomCrashes::new(
-                self.faults.min(n.saturating_sub(1)),
-                0.05,
-                self.seed.wrapping_add(2),
-            ))
+            .crash_plan(self.crash_plan())
             .frames(self.frame_policy())
             .delta(self.delta)
-            // Invariant monitors are part of the experiment only for the
-            // wait-free algorithm; baselines violate them by design.
-            .check_invariants(wait_free)
+            .check_invariants(self.audited())
             .recycle(parts)
     }
 
-    /// Frame policy shared by both engines: random per-activation frames,
-    /// except for `"grid-march"` — the grid model grants a common compass
-    /// (the algorithm is deliberately non-equivariant, its moves are
-    /// global-axis steps), so it observes in the global frame.
-    fn frame_policy(&self) -> FramePolicy {
+    /// Are the invariant monitors on? They are part of the experiment only
+    /// for the wait-free algorithm; baselines violate them by design.
+    pub(crate) fn audited(&self) -> bool {
+        self.algorithm == "wait-free-gather" && self.audit
+    }
+
+    /// Crash plan shared by every engine and by batch lanes: `faults`
+    /// randomly timed crashes (capped at `n − 1`, so one robot always
+    /// survives), seeded `seed + 2`.
+    pub(crate) fn crash_plan(&self) -> RandomCrashes {
+        RandomCrashes::new(
+            self.faults.min(self.initial.len().saturating_sub(1)),
+            0.05,
+            self.seed.wrapping_add(2),
+        )
+    }
+
+    /// Frame policy shared by every engine and by batch lanes: random
+    /// per-activation frames, except for `"grid-march"` — the grid model
+    /// grants a common compass (the algorithm is deliberately
+    /// non-equivariant, its moves are global-axis steps), so it observes in
+    /// the global frame.
+    pub(crate) fn frame_policy(&self) -> FramePolicy {
         if self.algorithm == "grid-march" {
             FramePolicy::GlobalFrame
         } else {
@@ -226,14 +237,9 @@ impl Scenario {
     /// layout extends [`Scenario::build_engine`]'s (`+2` crashes, `+3`
     /// frames) with `+4` pacing, `+5` speed skew, `+6` rigidity.
     fn build_async_engine(&self, parts: EngineParts) -> AsyncEngine {
-        let n = self.initial.len();
         let mut builder = AsyncEngine::builder(self.initial.clone())
             .algorithm(factory::algorithm(self.algorithm))
-            .crash_plan(RandomCrashes::new(
-                self.faults.min(n.saturating_sub(1)),
-                0.05,
-                self.seed.wrapping_add(2),
-            ))
+            .crash_plan(self.crash_plan())
             .frames(self.frame_policy())
             .delta(self.delta)
             .timing(Timing::Phased {
@@ -288,7 +294,7 @@ impl Scenario {
             hits,
             dirty_skips,
         });
-        if self.algorithm == "wait-free-gather" && self.audit {
+        if self.audited() {
             assert!(
                 engine.violations().is_empty(),
                 "invariant violations in {:?}: {:?}",

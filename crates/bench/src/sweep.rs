@@ -29,8 +29,9 @@ pub const CHUNK: usize = 128;
 
 /// Translates a [`Scenario`] into the equivalent [`LaneSpec`].
 ///
-/// This mirrors `Scenario::build_engine` field for field (same factory
-/// boxes, same derived seeds, same audit gating), which is what makes
+/// This takes the factory boxes, derived seeds, crash plan, frame policy
+/// and audit gating from the same `Scenario` methods the sequential
+/// engines use, which is what makes
 /// [`run_batched_on`] interchangeable with `Scenario::run`: identical
 /// configuration in, bit-identical [`RunMetrics`] out.
 pub fn lane_spec(s: &Scenario) -> LaneSpec {
@@ -38,31 +39,16 @@ pub fn lane_spec(s: &Scenario) -> LaneSpec {
         !s.is_async(),
         "async scenarios run on the event-heap engine, not batch lanes"
     );
-    let n = s.initial.len();
-    let wait_free = s.algorithm == "wait-free-gather" && s.audit;
-    let frames = if s.algorithm == "grid-march" {
-        // Same exemption as `Scenario::frame_policy`: the grid rule gets
-        // the grid model's common compass.
-        FramePolicy::GlobalFrame
-    } else {
-        FramePolicy::RandomPerActivation {
-            seed: s.seed.wrapping_add(3),
-        }
-    };
     LaneSpec {
         initial: s.initial.clone(),
         algorithm: factory::algorithm(s.algorithm),
-        scheduler: factory::scheduler(s.scheduler, n, s.seed),
-        crash_plan: Box::new(RandomCrashes::new(
-            s.faults.min(n.saturating_sub(1)),
-            0.05,
-            s.seed.wrapping_add(2),
-        )),
+        scheduler: factory::scheduler(s.scheduler, s.initial.len(), s.seed),
+        crash_plan: Box::new(s.crash_plan()),
         motion: factory::motion(s.motion, s.seed.wrapping_add(1)),
-        frames,
+        frames: s.frame_policy(),
         tol: Tol::default(),
         delta: s.delta,
-        check_invariants: wait_free,
+        check_invariants: s.audited(),
         max_rounds: s.max_rounds,
         // Sweeps read summaries only; full per-round traces stay off the
         // hot path (trace consumers go through `Scenario::run_traced`).
@@ -96,7 +82,7 @@ pub fn run_batched_on(pool: &WorkerPool, scenarios: &[Scenario], width: usize) -
             put_thread_parts(batch.into_parts());
             for (&i, lane) in sync_idx.iter().zip(results) {
                 let s = &chunk[i];
-                if s.algorithm == "wait-free-gather" && s.audit {
+                if s.audited() {
                     assert!(
                         lane.violations.is_empty(),
                         "scenario (seed {}) violated invariants: {:?}",
