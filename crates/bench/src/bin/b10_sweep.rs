@@ -6,9 +6,12 @@
 //! assembly, the cold admission classification, trace bookkeeping, pool
 //! dispatch — dominates over per-round simulation work. The
 //! [`gather_bench::sweep`] path amortises all of it: chunks of consecutive
-//! scenarios advance in lockstep inside one [`BatchEngine`](gather_sim::batch::BatchEngine) per worker,
-//! recycling lane slabs on retirement and deduplicating the admission
-//! analysis across grid cells that share an initial configuration.
+//! scenarios advance in lockstep inside one
+//! [`BatchEngine`](gather_sim::batch::BatchEngine) per worker, each lane an
+//! `Engine` stepping in the worker's one lent scratch arena, recycling
+//! analysis caches and traces on retirement and deduplicating the
+//! admission analysis across grid cells that share an initial
+//! configuration.
 //!
 //! This benchmark drives both paths over the same probe grid (the sweep
 //! driver's cell shape at reduced density, audits off) and enforces:

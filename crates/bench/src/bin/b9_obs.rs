@@ -7,8 +7,9 @@
 //!   (a [`EngineObs::disabled`] handle carried through the round loop but
 //!   never reading the clock) and *enabled* (full phase spans into a
 //!   per-run ring). The acceptance gate requires disabled-mode overhead of
-//!   at most 2 % versus absent (median-of-samples); enabled-mode overhead is
-//!   reported but not gated.
+//!   at most 2 % versus absent: the median over samples of the ratio of
+//!   the two sweeps timed back to back in each sample. Enabled-mode
+//!   overhead is reported but not gated.
 //! * **schema** — one traced run per configuration class; every NDJSON
 //!   line's top-level keys must match the pinned [`TRACE_SCHEMA`] order
 //!   (the same contract `crates/sim/tests/trace_schema.rs` pins in-tree
@@ -23,8 +24,8 @@
 //! Writes `BENCH_b9_obs.json` — unless `--baseline PATH` or `--quick` is
 //! given, in which case the JSON goes to `--out` instead (a smoke or
 //! regression-check run never overwrites the committed record). Quick and
-//! full runs time the same sweep: the overhead gate is a ratio of medians,
-//! and a much shorter sweep cannot resolve its 2 % bar. With `--baseline`
+//! full runs time the same sweep: the overhead gate is a median of paired
+//! ratios, and fewer or shorter samples cannot resolve its 2 % bar. With `--baseline`
 //! the committed record's `trace_schema` must match the pinned one (schema
 //! drift fails the run); the absent-mode throughput regression check runs
 //! only in full mode.
@@ -57,10 +58,20 @@ const TRACE_SCHEMA: [&str; 10] = [
 
 #[derive(Clone, Copy, PartialEq)]
 enum Variant {
-    Absent,
-    Disabled,
-    Enabled,
+    Absent = 0,
+    Disabled = 1,
+    Enabled = 2,
 }
+
+/// The variant orders the timed samples cycle through: absent and
+/// disabled (the gated pair) always run back to back, each first in half
+/// the samples, with enabled before or after them.
+const ORDERS: [[Variant; 3]; 4] = [
+    [Variant::Absent, Variant::Disabled, Variant::Enabled],
+    [Variant::Disabled, Variant::Absent, Variant::Enabled],
+    [Variant::Enabled, Variant::Absent, Variant::Disabled],
+    [Variant::Enabled, Variant::Disabled, Variant::Absent],
+];
 
 impl Variant {
     const ALL: [Variant; 3] = [Variant::Absent, Variant::Disabled, Variant::Enabled];
@@ -177,35 +188,38 @@ fn json_keys(line: &str) -> Vec<String> {
 fn main() {
     let args = Args::parse();
     let mut failures: Vec<String> = Vec::new();
-    let samples = 80;
+    let samples = 240;
     let scenarios = sweep();
     let runs_per_pass = scenarios.len() as f64;
 
     // --- Overhead: absent vs disabled vs enabled, interleaved ----------
-    // Warm-up passes so code and data are hot before timing. The timed
-    // statistic is the *median* over many short samples rather than the
-    // minimum over a few long ones: a single sweep takes low milliseconds
-    // (well above timer resolution) and the median is immune to the
-    // scheduling spikes and frequency drift that can push a best-of-N
-    // comparison past a 2 % budget on a shared box.
+    // Warm-up passes so code and data are hot before timing. Every sample
+    // times one sweep per variant, and the gated statistic is the median
+    // over samples of the *paired* ratio disabled/absent: the two sweeps
+    // of a pair run back to back, so drift between samples (frequency,
+    // neighbours on a shared box) cancels within the pair instead of
+    // landing on whichever variant's median it happened to hit.
     for variant in Variant::ALL {
         run_sweep(&scenarios, variant, 8);
     }
     let mut times: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut ratios: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut results: [Option<Vec<RunMetrics>>; 3] = [None, None, None];
     let mut phase_totals = PhaseNanos::default();
     for trial in 0..samples {
-        // Rotate the variant order every sample so slow drift charges
-        // each variant equally instead of always hitting the same slot.
-        for k in 0..Variant::ALL.len() {
-            let slot = (trial + k) % Variant::ALL.len();
-            let variant = Variant::ALL[slot];
-            let (secs, metrics, phases) = run_sweep(&scenarios, variant, 1);
-            times[slot].push(secs);
+        let mut secs = [0.0f64; 3];
+        for variant in ORDERS[trial % ORDERS.len()] {
+            let slot = variant as usize;
+            let (elapsed, metrics, phases) = run_sweep(&scenarios, variant, 1);
+            secs[slot] = elapsed;
+            times[slot].push(elapsed);
             results[slot] = Some(metrics);
             if variant == Variant::Enabled {
                 phase_totals = phases;
             }
+        }
+        for slot in 0..secs.len() {
+            ratios[slot].push(secs[slot] / secs[Variant::Absent as usize]);
         }
     }
     let med = [
@@ -213,23 +227,26 @@ fn main() {
         runner::median(&times[1]),
         runner::median(&times[2]),
     ];
-    let absent = med[0];
-    let overhead_pct = |variant_med: f64| -> f64 { (variant_med - absent) / absent * 100.0 };
-    let disabled_pct = overhead_pct(med[1]);
-    let enabled_pct = overhead_pct(med[2]);
+    let overhead = |slot: usize| -> f64 { (runner::median(&ratios[slot]) - 1.0) * 100.0 };
+    let disabled_pct = overhead(Variant::Disabled as usize);
+    let enabled_pct = overhead(Variant::Enabled as usize);
 
-    let mut vt = Table::new(&["variant", "sweep s (median)", "runs/s", "overhead %"]);
+    let mut vt = Table::new(&[
+        "variant",
+        "sweep s (median)",
+        "runs/s",
+        "overhead % (paired median)",
+    ]);
     for (slot, variant) in Variant::ALL.into_iter().enumerate() {
         vt.push(vec![
             variant.name().to_string(),
             f(med[slot], 5),
             f(runs_per_pass / med[slot], 1),
-            f(overhead_pct(med[slot]), 2),
+            f(overhead(slot), 2),
         ]);
     }
     println!(
-        "B9 — observability overhead ({} scenarios/sweep, median of {samples} interleaved \
-         samples)\n",
+        "B9 — observability overhead ({} scenarios/sweep, {samples} interleaved samples)\n",
         scenarios.len()
     );
     vt.print();
@@ -433,7 +450,7 @@ fn main() {
                 .unwrap_or_else(|| {
                     panic!("baseline {} has no absent row", baseline_path.display())
                 });
-            let fresh = runs_per_pass / absent;
+            let fresh = runs_per_pass / med[Variant::Absent as usize];
             if fresh < 0.7 * base_absent {
                 failures.push(format!(
                     "absent-mode throughput regressed >30% ({fresh:.1} vs baseline \

@@ -1,4 +1,4 @@
-//! SWEEP — parameter-space cartography on the columnar mega-sweep engine.
+//! SWEEP — parameter-space cartography on the lockstep mega-sweep engine.
 //!
 //! T1 samples Theorem 5.1's claim at 800 cells; this driver maps the
 //! whole phase space at an order of magnitude more: every scenario family

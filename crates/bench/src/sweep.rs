@@ -1,10 +1,10 @@
-//! Columnar mega-sweep: lockstep batch execution of scenario grids.
+//! Mega-sweep: lockstep batch execution of scenario grids.
 //!
 //! [`crate::runner::Scenario::run`] drives one engine per scenario; a
 //! parameter-space sweep instead hands *chunks* of consecutive scenarios to
 //! each pool worker and advances every chunk as a [`BatchEngine`] — one
-//! scratch arena, columnar between-round state, and per-lane retirement so
-//! short runs free their slot for the next admission. The batch path is
+//! `Engine` per lane, all stepping in one lent scratch arena, and per-lane
+//! retirement so short runs free their place for the next admission. The batch path is
 //! bit-identical to the sequential one for every `(spec, seed)` (see
 //! `tests/batch_identity.rs` and the `sweep-smoke` gate in
 //! `scripts/check.sh`), so the only observable difference is throughput.

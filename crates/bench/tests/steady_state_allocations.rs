@@ -165,3 +165,50 @@ fn recycled_engines_do_not_allocate_in_steady_state() {
         );
     }
 }
+
+/// The creep workload as an untraced batch lane with a round limit.
+fn creep_lane(n: usize, seed: u64, max_rounds: u64) -> LaneSpec {
+    let mut spec = LaneSpec::new(
+        workloads::multiple(n, 3, seed),
+        Box::new(WaitFreeGather::default()),
+    );
+    spec.scheduler = Box::new(RoundRobin::new(2.max(n / 4)));
+    spec.motion = Box::new(AlwaysDelta);
+    spec.check_invariants = false;
+    spec.max_rounds = max_rounds;
+    spec
+}
+
+#[test]
+fn batch_lanes_do_not_allocate_per_round() {
+    // Every lane steps in the batch's one lent scratch arena. Admission
+    // and retirement allocate a fixed amount per lane, so a whole `run`
+    // must cost the same allocations at either round limit: none of the
+    // extra rounds may touch the heap.
+    let (n, width) = (32usize, 2usize);
+    let allocations_at = |max_rounds: u64| {
+        let specs: Vec<LaneSpec> = (0..3).map(|k| creep_lane(n, 7 + k, max_rounds)).collect();
+        let mut batch = BatchEngine::new(width, EngineParts::default());
+        let before = allocations();
+        let results = batch.run(specs);
+        let allocs = allocations() - before;
+        for lane in &results {
+            assert_eq!(
+                lane.outcome,
+                RunOutcome::RoundLimit { rounds: max_rounds },
+                "the creep lanes must run to the round limit"
+            );
+        }
+        allocs
+    };
+    // The first run on this thread also pays one-off lazy initialisation.
+    allocations_at(150);
+    let short = allocations_at(150);
+    let long = allocations_at(300);
+    assert_eq!(
+        long,
+        short,
+        "150 more rounds per lane cost {} more heap allocations",
+        long as i64 - short as i64
+    );
+}

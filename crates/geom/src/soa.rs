@@ -394,47 +394,6 @@ pub fn max_dist2(buf: &PointBuffer, from: Point) -> (usize, f64) {
     (best, best_d2)
 }
 
-/// The largest squared distance from `from` to any point whose mask entry
-/// is `true` — the batched gathered-detection prefilter of lockstep
-/// execution: with `from` an alive robot's position and `mask` the alive
-/// set, `masked_max_dist2 <= snap²` is arithmetically identical to "every
-/// alive robot is `within(from, snap)`" (both compare `dx·dx + dy·dy`
-/// against `snap·snap`), so the prefilter is exact, not conservative.
-/// Returns `f64::NEG_INFINITY` when no mask entry is set.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn masked_max_dist2(xs: &[f64], ys: &[f64], mask: &[bool], from: Point) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "coordinate slices of unequal length");
-    assert_eq!(xs.len(), mask.len(), "coordinate slices of unequal length");
-    let mut best = [f64::NEG_INFINITY; LANES];
-    let chunks = xs.len() / LANES * LANES;
-    for base in (0..chunks).step_by(LANES) {
-        for lane in 0..LANES {
-            let dx = xs[base + lane] - from.x;
-            let dy = ys[base + lane] - from.y;
-            // Branchless: masked-out points contribute NEG_INFINITY, which
-            // never wins the max.
-            let d2 = if mask[base + lane] {
-                dx * dx + dy * dy
-            } else {
-                f64::NEG_INFINITY
-            };
-            best[lane] = best[lane].max(d2);
-        }
-    }
-    let mut out = best[0].max(best[1]).max(best[2].max(best[3]));
-    for i in chunks..xs.len() {
-        if mask[i] {
-            let dx = xs[i] - from.x;
-            let dy = ys[i] - from.y;
-            out = out.max(dx * dx + dy * dy);
-        }
-    }
-    out
-}
-
 /// The unit-vector pull of the points strictly outside `zone` of `at`,
 /// together with the count of points inside the zone — the Weber
 /// subgradient prefilter scan of quasi-regularity detection as a batch
@@ -738,17 +697,6 @@ pub mod reference {
         best
     }
 
-    /// Scalar counterpart of [`super::masked_max_dist2`].
-    pub fn masked_max_dist2(points: &[Point], mask: &[bool], from: Point) -> f64 {
-        assert_eq!(points.len(), mask.len(), "mask of unequal length");
-        points
-            .iter()
-            .zip(mask)
-            .filter(|(_, &m)| m)
-            .map(|(p, _)| from.dist2(*p))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Scalar counterpart of [`super::radial_pull`]: the original
     /// quasi-regularity prefilter loop.
     pub fn radial_pull(points: &[Point], at: Point, zone: f64) -> (Vec2, usize) {
@@ -948,31 +896,6 @@ mod tests {
             let from = Point::new(1.0, 2.0);
             assert_eq!(max_dist2(&buf, from), reference::max_dist2(&pts, from));
         }
-    }
-
-    #[test]
-    fn masked_max_dist2_matches_reference_bitwise() {
-        for n in [0, 1, 3, 4, 5, 9, 17, 40] {
-            let pts = scatter(n, 31 + n as u64);
-            let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
-            let buf = PointBuffer::from_points(&pts);
-            let from = Point::new(-0.4, 1.3);
-            let batch = masked_max_dist2(buf.xs(), buf.ys(), &mask, from);
-            let scalar = reference::masked_max_dist2(&pts, &mask, from);
-            // Same per-element `dx·dx + dy·dy` and a max-reduction (order
-            // free): bitwise identical.
-            assert!(
-                batch == scalar || (batch.is_infinite() && scalar.is_infinite()),
-                "n={n}: {batch} vs {scalar}"
-            );
-        }
-        // All-masked-out yields the neutral element.
-        let pts = scatter(6, 77);
-        let buf = PointBuffer::from_points(&pts);
-        assert_eq!(
-            masked_max_dist2(buf.xs(), buf.ys(), &[false; 6], Point::ORIGIN),
-            f64::NEG_INFINITY
-        );
     }
 
     #[test]

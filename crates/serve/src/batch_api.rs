@@ -4,7 +4,7 @@
 //! single-scenario execution on a dispatcher lane. `/v1/batch` optimises
 //! throughput for bulk sweeps: it accepts up to
 //! [`ServeConfig::max_mega_batch`] scenarios in one body and executes
-//! the cache misses through the columnar `BatchEngine` lanes
+//! the cache misses through lockstep `BatchEngine` lanes
 //! ([`run_batched_on`]), which amortises scheduler bookkeeping and
 //! engine setup across [`BATCH_WIDTH`] scenarios per worker claim
 //! instead of one.
@@ -15,7 +15,7 @@
 //! execution), so the response for a given scenario list is
 //! byte-identical across both endpoints and across engines. That holds
 //! because `run_batched_on` is bit-identical to sequential `run()` by
-//! the BatchEngine contract (DESIGN.md §13), which the unit test below
+//! the BatchEngine contract (DESIGN.md §14), which the unit test below
 //! re-checks at this boundary.
 //!
 //! [`ServeConfig::max_mega_batch`]: crate::server::ServeConfig::max_mega_batch
@@ -27,18 +27,18 @@ use gather_bench::runner::Scenario;
 use gather_bench::sweep::run_batched_on;
 use gather_sim::metrics::RunMetrics;
 
-/// Scenarios per lane claim inside the columnar engine — wide enough to
+/// Scenarios per lane claim inside the batch engine — wide enough to
 /// amortise claim overhead, narrow enough to keep lanes load-balanced.
 pub const BATCH_WIDTH: usize = 16;
 
 /// Routes `POST /v1/batch`: identical admission to `/v1/run` except for
-/// the larger batch cap and the columnar execution flag.
+/// the larger batch cap and the batch execution flag.
 pub(crate) fn batch_route(inner: &Inner, request: &Request, replier: Replier) -> Routed {
     run_route(inner, request, replier, true)
 }
 
-/// Executes a mega-batch's cache misses on the worker pool's columnar
-/// lanes.
+/// Executes a mega-batch's cache misses as `BatchEngine` lanes on the
+/// worker pool.
 pub(crate) fn run_batch_lanes(pool: &WorkerPool, scenarios: &[Scenario]) -> Vec<RunMetrics> {
     run_batched_on(pool, scenarios, BATCH_WIDTH)
 }
@@ -76,7 +76,7 @@ mod tests {
             assert_eq!(
                 b.to_jsonl(),
                 s.to_jsonl(),
-                "columnar lanes diverged from sequential execution"
+                "batch lanes diverged from sequential execution"
             );
         }
     }

@@ -21,7 +21,7 @@
 //!    over keep-alive connections — the readiness event loop plus the
 //!    deterministic result cache serving at transport speed.
 //! 5. **`/v1/batch` amortisation curve**: scenarios/second for batch
-//!    sizes 1..256, cold (columnar `BatchEngine` lanes) and hot (cached).
+//!    sizes 1..256, cold (`BatchEngine` lanes) and hot (cached).
 //!
 //! The server runs with a deliberately small admission queue so the sweep
 //! exercises the 429 path at super-capacity rates instead of buffering
@@ -283,7 +283,7 @@ struct BatchRow {
 }
 
 /// `/v1/batch` amortisation: one mega-batch of `size` unique scenarios,
-/// timed cold (columnar lanes) and hot (all-hit, answered at admission).
+/// timed cold (batch lanes) and hot (all-hit, answered at admission).
 fn batch_curve(addr: &str, size: usize, seed_base: u64) -> BatchRow {
     let mut client = Client::connect(addr).expect("connect");
     let body = format!(
@@ -359,7 +359,7 @@ fn smoke() {
     );
 
     // A two-scenario mega-batch exercises the worker pool and the
-    // columnar lanes (single-scenario jobs run inline on a dispatcher).
+    // batch lanes (single-scenario jobs run inline on a dispatcher).
     let spec_b = ScenarioSpec {
         seed: 4,
         max_rounds: 2_000,
@@ -630,7 +630,7 @@ fn main() {
         .enumerate()
         .map(|(i, &size)| batch_curve(&addr, size, 80_000 + 1_000 * i as u64))
         .collect();
-    println!("\n/v1/batch amortisation (cold = columnar lanes, hot = all-hit):\n");
+    println!("\n/v1/batch amortisation (cold = batch lanes, hot = all-hit):\n");
     println!("{:>6} {:>16} {:>14}", "size", "cold scen/s", "hot req/s");
     for row in &batch_rows {
         println!(

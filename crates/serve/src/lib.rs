@@ -32,7 +32,7 @@
 //! * [`server`] — acceptor / engines / dispatcher lanes and shutdown
 //!   sequencing;
 //! * [`batch_api`] — `POST /v1/batch`, the amortised mega-batch endpoint
-//!   over the columnar `BatchEngine` lanes;
+//!   over lockstep `BatchEngine` lanes;
 //! * [`event_loop`] — the epoll engine (Linux only);
 //! * [`client`] — a tiny blocking client shared by the bench, the smoke
 //!   gate and the tests.

@@ -22,7 +22,7 @@
 //!   A single-scenario job runs *inline* on its long-lived dispatcher
 //!   thread (recycling [`EngineParts`] via the runner's thread-local
 //!   scratch); multi-scenario jobs fan out over the shared
-//!   [`WorkerPool`]; `/v1/batch` jobs go through the columnar
+//!   [`WorkerPool`]; `/v1/batch` jobs go through lockstep
 //!   `BatchEngine` lanes (`run_batched_on`);
 //! * **result cache** — completed payloads are stored byte-exact under
 //!   the canonical spec key ([`crate::cache`]); an all-hit request is
@@ -155,7 +155,7 @@ pub(crate) enum RunSlot {
 pub(crate) enum Work {
     /// A scenario batch, answered with summary JSONL stitched from
     /// cache hits and fresh runs in request order. `batch` routes the
-    /// misses through the columnar `BatchEngine` lanes (`/v1/batch`).
+    /// misses through lockstep `BatchEngine` lanes (`/v1/batch`).
     Run { slots: Vec<RunSlot>, batch: bool },
     /// `POST /v1/trace`: one scenario, answered with a trace/v2 document
     /// — the spec's header line followed by its full per-round NDJSON
@@ -487,7 +487,7 @@ fn execute(inner: &Inner, work: Work) -> Body {
                 }
             }
             let runs = if batch {
-                // `/v1/batch`: lockstep columnar lanes, bit-identical to
+                // `/v1/batch`: lockstep batch lanes, bit-identical to
                 // sequential runs by the BatchEngine contract.
                 crate::batch_api::run_batch_lanes(&inner.pool, &misses)
             } else if misses.len() == 1 {

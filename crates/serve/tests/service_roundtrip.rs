@@ -113,7 +113,7 @@ fn mega_batch_endpoint_is_bit_identical_to_run_and_in_process() {
     assert_eq!(
         batched.body,
         expected.as_bytes(),
-        "/v1/batch (columnar lanes) must serve in-process bytes"
+        "/v1/batch (batch lanes) must serve in-process bytes"
     );
     // The mega-batch endpoint exists only under /v1.
     let unversioned = client

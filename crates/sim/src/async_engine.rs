@@ -1,6 +1,6 @@
 //! The event-driven ASYNC execution engine.
 //!
-//! Where [`Engine`](crate::engine::Engine) divides time into rounds, this
+//! Where [`Engine`] divides time into rounds, this
 //! engine divides it into *events* drawn from a binary heap
 //! ([`crate::events`]): each robot's Look, Compute-completion and
 //! Move-arrival are scheduled at real-valued simulated times, with seeded
@@ -40,15 +40,14 @@
 //! [`Engine::step`]: crate::engine::Engine::step
 
 use crate::algorithm::Algorithm;
-use crate::crash::{CrashPlan, NoCrashes};
-use crate::engine::{EngineParts, RunOutcome, Scratch, StepCore};
+use crate::crash::CrashPlan;
+use crate::engine::{Engine, EngineBuilder, EngineParts, RunOutcome, Scratch, StepCore};
 use crate::events::{EventHeap, EventKind};
-use crate::frames::{FramePolicy, FrameSource};
-use crate::motion::{apply_motion, FullMotion, MotionAdversary};
-use crate::scheduler::EveryRobot;
+use crate::frames::FramePolicy;
+use crate::motion::{apply_motion, MotionAdversary};
 use crate::snapshot::Snapshot;
 use crate::trace::{RoundRecord, Trace};
-use gather_config::{Class, Configuration};
+use gather_config::Configuration;
 use gather_geom::{Point, Similarity, Tol};
 use gather_obs::PhaseTimer;
 use gather_prng::Rng;
@@ -156,54 +155,49 @@ impl Default for LookView {
 
 /// Builder for [`AsyncEngine`] (see [`AsyncEngine::builder`]).
 pub struct AsyncEngineBuilder {
-    initial: Vec<Point>,
-    algorithm: Option<Box<dyn Algorithm>>,
-    crash_plan: Box<dyn CrashPlan>,
-    motion: Box<dyn MotionAdversary>,
-    frames: FramePolicy,
-    tol: Tol,
-    delta: f64,
+    /// The settings shared with the round engine, and its `StepCore`
+    /// constructor. Its scheduler stays the default placeholder (the event
+    /// heap drives activation) and its analysis path the incremental one.
+    base: EngineBuilder,
     timing: Timing,
     pacing: Pacing,
     rigidity: Rigidity,
     speed_skew: f64,
     speed_seed: u64,
-    check_invariants: bool,
-    trace_capacity: Option<usize>,
-    recycled: Option<EngineParts>,
 }
 
 impl AsyncEngineBuilder {
     /// Sets the algorithm every robot runs. **Required.**
     pub fn algorithm(mut self, algorithm: impl Algorithm + 'static) -> Self {
-        self.algorithm = Some(Box::new(algorithm));
+        self.base.algorithm = Some(Box::new(algorithm));
         self
     }
 
-    /// Sets the crash plan (default: [`NoCrashes`]). The plan is consulted
-    /// once per tick with the tick index as its round number.
+    /// Sets the crash plan (default: [`NoCrashes`](crate::crash::NoCrashes)).
+    /// The plan is consulted once per tick with the tick index as its round
+    /// number.
     pub fn crash_plan(mut self, plan: impl CrashPlan + 'static) -> Self {
-        self.crash_plan = Box::new(plan);
+        self.base.crash_plan = Box::new(plan);
         self
     }
 
     /// Sets the motion adversary applied to [`Timing::Atomic`] moves
-    /// (default: [`FullMotion`]). Ignored under [`Timing::Phased`], where
+    /// (default: [`FullMotion`](crate::motion::FullMotion)). Ignored under [`Timing::Phased`], where
     /// the [`Rigidity`] setting plays that role.
     pub fn motion(mut self, motion: impl MotionAdversary + 'static) -> Self {
-        self.motion = Box::new(motion);
+        self.base.motion = Box::new(motion);
         self
     }
 
     /// Sets the local-frame policy (default: random frame per activation).
     pub fn frames(mut self, frames: FramePolicy) -> Self {
-        self.frames = frames;
+        self.base.frames = frames;
         self
     }
 
     /// Sets the tolerance policy (default: [`Tol::default`]).
     pub fn tol(mut self, tol: Tol) -> Self {
-        self.tol = tol;
+        self.base.tol = tol;
         self
     }
 
@@ -213,8 +207,7 @@ impl AsyncEngineBuilder {
     ///
     /// Panics if `delta <= 0`.
     pub fn delta(mut self, delta: f64) -> Self {
-        assert!(delta > 0.0, "minimum step delta must be positive");
-        self.delta = delta;
+        self.base = self.base.delta(delta);
         self
     }
 
@@ -285,7 +278,7 @@ impl AsyncEngineBuilder {
     /// *mid-flight* configurations too — outside the ATOM model a reported
     /// violation is a boundary finding, not necessarily a bug.
     pub fn check_invariants(mut self, on: bool) -> Self {
-        self.check_invariants = on;
+        self.base.check_invariants = on;
         self
     }
 
@@ -296,7 +289,7 @@ impl AsyncEngineBuilder {
     ///
     /// `build` panics if `capacity == 0`.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
+        self.base.trace_capacity = Some(capacity);
         self
     }
 
@@ -306,7 +299,7 @@ impl AsyncEngineBuilder {
     /// [`EngineParts`]). Observationally invisible, exactly as for the
     /// round-based engine.
     pub fn recycle(mut self, parts: EngineParts) -> Self {
-        self.recycled = Some(parts);
+        self.base.recycled = Some(parts);
         self
     }
 
@@ -316,32 +309,15 @@ impl AsyncEngineBuilder {
     ///
     /// Panics if no algorithm was set or the initial configuration is
     /// empty.
-    pub fn build(self) -> AsyncEngine {
-        let algorithm = self
-            .algorithm
-            .expect("AsyncEngineBuilder: algorithm is required");
-        assert!(
-            !self.initial.is_empty(),
-            "AsyncEngineBuilder: initial configuration must be non-empty"
-        );
-        let positions = Configuration::canonical(self.initial, self.tol)
-            .points()
-            .to_vec();
+    pub fn build(mut self) -> AsyncEngine {
+        let positions = self.base.canonical_initial();
         let n = positions.len();
-        let EngineParts {
-            mut scratch,
-            mut analysis_cache,
-            mut canon_order,
-        } = self.recycled.unwrap_or_default();
-        canon_order.clear();
-        // Identical reset-to-fresh contract as the round-based engine.
-        analysis_cache.reset();
-        scratch.config.copy_from_slice(&positions);
-        let started_bivalent = analysis_cache
-            .analyse(&scratch.config, self.tol)
-            .analysis
-            .class
-            == Class::Bivalent;
+        // Always a fresh `Trace`: recycled `EngineParts` carry no trace, so
+        // there is no path for a previous scenario's rounds to leak into
+        // this engine's.
+        let mut trace = Trace::new();
+        trace.set_capacity(self.base.trace_capacity);
+        let (core, scratch) = self.base.core(&positions, None);
         let mut speeds = vec![1.0; n];
         if self.speed_skew > 0.0 {
             let mut rng = Rng::seed_from_u64(self.speed_seed);
@@ -357,33 +333,11 @@ impl AsyncEngineBuilder {
             Rigidity::Rigid => None,
             Rigidity::NonRigid { seed, .. } => Some(Rng::seed_from_u64(seed)),
         };
-        // Always a fresh `Trace` — recycled `EngineParts` carry scratch
-        // and analysis cache only, so (unlike batch lanes, which recycle
-        // retired traces via reset-then-rebound) there is no path for a
-        // previous scenario's rounds to leak into this engine's trace.
-        let mut trace = Trace::new();
-        trace.set_capacity(self.trace_capacity);
         let mut engine = AsyncEngine {
             positions,
             alive: vec![true; n],
             tick: 0,
-            core: StepCore {
-                algorithm,
-                // Activation is driven by the event heap; the scheduler
-                // slot is a placeholder the async engine never consults.
-                scheduler: Box::new(EveryRobot),
-                crash_plan: self.crash_plan,
-                motion: self.motion,
-                frame_source: FrameSource::new(self.frames),
-                tol: self.tol,
-                delta: self.delta,
-                check_invariants: self.check_invariants,
-                started_bivalent,
-                incremental: true,
-                pending_dirty: Vec::new(),
-                canon_order,
-                analysis_cache,
-            },
+            core,
             timing: self.timing,
             pacing: self.pacing,
             rigidity: self.rigidity,
@@ -479,21 +433,12 @@ impl AsyncEngine {
     /// Starts building an async engine over the given initial positions.
     pub fn builder(initial: Vec<Point>) -> AsyncEngineBuilder {
         AsyncEngineBuilder {
-            initial,
-            algorithm: None,
-            crash_plan: Box::new(NoCrashes),
-            motion: Box::new(FullMotion),
-            frames: FramePolicy::default(),
-            tol: Tol::default(),
-            delta: 0.01,
+            base: Engine::builder(initial),
             timing: Timing::Atomic,
             pacing: Pacing::Lockstep,
             rigidity: Rigidity::Rigid,
             speed_skew: 0.0,
             speed_seed: 0,
-            check_invariants: true,
-            trace_capacity: None,
-            recycled: None,
         }
     }
 
@@ -576,37 +521,28 @@ impl AsyncEngine {
     /// (a stale compute could still order a move away), and the algorithm
     /// instructs that location to stay.
     pub fn is_gathered(&mut self) -> bool {
-        let tol = self.core.tol;
-        let Some(first) = (0..self.positions.len())
-            .find(|i| self.alive[*i])
-            .map(|i| self.positions[i])
-        else {
-            return false;
-        };
-        let all_together = (0..self.positions.len())
-            .filter(|i| self.alive[*i])
-            .all(|i| self.positions[i].within(first, tol.snap));
-        if !all_together {
-            return false;
-        }
-        for i in 0..self.positions.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            match self.phase[i] {
-                RobotPhase::Moving { .. } => return false,
-                RobotPhase::Computing => {
-                    if self.views[i].version != self.config_version {
-                        return false;
-                    }
+        self.gathered().is_some()
+    }
+
+    /// The gathering location when [`AsyncEngine::is_gathered`] holds: the
+    /// round engine's predicate over the live robots, once no live robot
+    /// is in flight or computing on a stale view (checked first; it reads
+    /// no analysis).
+    fn gathered(&mut self) -> Option<Point> {
+        let unsettled = (0..self.positions.len()).any(|i| {
+            self.alive[i]
+                && match self.phase[i] {
+                    RobotPhase::Moving { .. } => true,
+                    RobotPhase::Computing => self.views[i].version != self.config_version,
+                    RobotPhase::Idle => false,
                 }
-                RobotPhase::Idle => {}
-            }
+        });
+        if unsettled {
+            return None;
         }
-        let dest = self
-            .core
-            .destination_at(&self.positions, first, &mut self.scratch);
-        dest.within(first, tol.snap)
+        let alive = &self.alive;
+        self.core
+            .gathered(&self.positions, |i| alive[i], &mut self.scratch)
     }
 
     /// Executes one tick — the next event batch that does real work —
@@ -892,11 +828,7 @@ impl AsyncEngine {
     /// executed, or the event heap drains (all robots crashed).
     pub fn run(&mut self, max_ticks: u64) -> RunOutcome {
         loop {
-            if self.is_gathered() {
-                let point = (0..self.positions.len())
-                    .find(|i| self.alive[*i])
-                    .map(|i| self.positions[i])
-                    .expect("gathered implies a live robot");
+            if let Some(point) = self.gathered() {
                 return RunOutcome::Gathered {
                     round: self.tick,
                     point,

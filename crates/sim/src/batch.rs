@@ -1,58 +1,48 @@
-//! Lockstep batch execution: many scenarios advanced round by round over
-//! scenario-major columnar state.
+//! Lockstep batch execution: many scenarios advanced round by round, each
+//! lane an [`Engine`].
 //!
 //! A parameter-space sweep runs thousands of *short* simulations — the T1
 //! grid gathers in a handful of rounds — so the one-`Engine`-per-scenario
-//! worker pool pays its per-scenario fixed costs (engine construction,
-//! canonical clone, cold first classification, unbounded trace growth,
-//! per-item pool handoff) once per grid cell, and those costs rival the
-//! simulated rounds themselves. [`BatchEngine`] amortises them: one
-//! scratch arena per worker (recycled through the existing
-//! [`EngineParts`] contract) serves every lane, positions and liveness
-//! flags live packed across scenarios in structure-of-arrays columns
-//! (fueling the batched [`gather_geom::soa`] kernels, here the exact
-//! gathered-detection prefilter [`masked_max_dist2`]), analysis caches and
-//! traces recycle across lane generations, and an admission memo shares
-//! the cold initial classification across grid cells that start from the
-//! same configuration.
+//! worker pool pays its per-scenario fixed costs (scratch arena, cold
+//! first classification, unbounded trace growth, per-item pool handoff)
+//! once per grid cell, and those costs rival the simulated rounds
+//! themselves. [`BatchEngine`] amortises them: one scratch arena per
+//! worker (recycled through the existing [`EngineParts`] contract) is lent
+//! to whichever lane is stepping, analysis caches and traces recycle
+//! across lane generations, and an admission memo shares the cold initial
+//! classification across grid cells that start from the same
+//! configuration.
 //!
 //! The hard contract is **bit-identity**: every lane produces exactly the
 //! [`RunMetrics`], violations and final positions of a sequential
-//! [`Engine`] run of the same spec. This holds by construction, not by
-//! re-implementation — lanes execute the *same* `StepCore` stage code
-//! the engine's round loop is built from, in the same order, with the
-//! same per-round counter windows; the columnar layer only stores state
-//! between rounds and pre-filters the gathered check with an
-//! arithmetically identical kernel.
-//!
-//! [`Engine`]: crate::engine::Engine
+//! [`Engine`] run of the same spec. This holds by construction: a lane is
+//! built by the builder's own admission path and steps through
+//! `Engine::step_in`, the one round stage sequence.
 
 use crate::algorithm::Algorithm;
 use crate::crash::{CrashPlan, NoCrashes};
-use crate::engine::{EngineParts, RunOutcome, Scratch, StepCore};
-use crate::frames::{FramePolicy, FrameSource};
+use crate::engine::{Engine, EngineBuilder, EngineParts, RunOutcome, Scratch};
+use crate::frames::FramePolicy;
 use crate::metrics::{summarize, CacheStats, RunMetrics};
 use crate::motion::{FullMotion, MotionAdversary};
 use crate::scheduler::{EveryRobot, Scheduler};
-use crate::trace::{RoundRecord, Trace};
-use gather_config::{AnalysisCache, Class, Configuration, RoundAnalysis};
-use gather_geom::soa::masked_max_dist2;
+use crate::trace::Trace;
+use gather_config::RoundAnalysis;
 use gather_geom::{Point, Tol};
-use gather_obs::PhaseTimer;
 
 /// One scenario for lockstep execution: the subset of the
-/// [`EngineBuilder`](crate::engine::EngineBuilder) surface that batch
-/// lanes support, as plain data. Defaults mirror the builder's exactly.
+/// [`EngineBuilder`] surface that batch lanes support, as plain data.
+/// Defaults mirror the builder's exactly; [`BatchEngine`] maps a spec onto
+/// a builder to admit it.
 ///
 /// Deliberately absent: byzantine robots, position logs and
 /// observability handles — the sweep workloads that justify lockstep
-/// execution use none of them, and each would smuggle per-lane state into
-/// the shared arena. Scenarios needing those run on the sequential
-/// engine; stale observations are the event-heap
+/// execution use none of them. Scenarios needing those run on the
+/// sequential engine; stale observations are the event-heap
 /// [`AsyncEngine`](crate::async_engine::AsyncEngine)'s domain. Nor is
 /// the builder's `incremental` switch here: every lane runs the
 /// incremental analysis, and the full-recompute reference is built with
-/// [`EngineBuilder`](crate::engine::EngineBuilder).
+/// [`EngineBuilder`].
 pub struct LaneSpec {
     /// Initial robot positions (canonicalised on admission, exactly as the
     /// builder does).
@@ -123,33 +113,20 @@ pub struct LaneResult {
     pub trace_jsonl: Option<String>,
 }
 
-/// A live lane: one scenario's stepping core plus its per-scenario state.
-/// Positions and liveness live in the batch's columns, not here.
+/// A live lane: one scenario's engine (stepping in the batch's arena) and
+/// what the batch needs to retire it.
 struct Lane {
-    core: StepCore,
-    /// Column slot ×`stride` = base offset of this lane's robots.
-    slot: usize,
-    /// Robot count (fixed for the lane's lifetime — canonicalisation
-    /// merges coordinates, never entries).
-    n: usize,
+    engine: Engine,
     /// Position of this lane's spec in the input order.
     index: usize,
-    round: u64,
     max_rounds: u64,
-    /// Capacity-1 ring by default (aggregates — all [`RunMetrics`] reads
-    /// — cover every round; per-round records are not retained), or
-    /// unbounded for a [`LaneSpec::traced`] lane.
-    trace: Trace,
     /// Serialise the retained records into [`LaneResult::trace_jsonl`] on
     /// retirement.
     traced: bool,
-    violations: Vec<String>,
-    record: RoundRecord,
 }
 
-/// Advances a batch of scenarios in lockstep over scenario-major SoA
-/// state; see the module docs for the design and the bit-identity
-/// contract.
+/// Advances a batch of scenarios in lockstep, one [`Engine`] per lane;
+/// see the module docs for the design and the bit-identity contract.
 ///
 /// # Example
 ///
@@ -180,31 +157,18 @@ struct Lane {
 /// ```
 pub struct BatchEngine {
     width: usize,
-    /// The one scratch arena every lane's stages borrow.
+    /// The one scratch arena lent to every lane's rounds.
     scratch: Scratch,
-    /// Retired lanes' analysis caches, reset-recycled into new lanes.
-    spare_caches: Vec<AnalysisCache>,
-    /// Retired lanes' kept canonical orders, recycled into new lanes.
-    spare_orders: Vec<Vec<usize>>,
+    /// Retired lanes' analysis caches and kept canonical orders (their
+    /// scratch stays empty), reset-recycled into new lanes.
+    spare_parts: Vec<EngineParts>,
     /// Retired lanes' traces, reset-recycled into new lanes.
     spare_traces: Vec<Trace>,
-    /// Array-of-structs staging buffer: a lane's positions are gathered
-    /// here from the columns for the stepping stages, then scattered back.
-    aos: Vec<Point>,
-    /// Scenario-major position columns: lane slot `s` robot `j` lives at
-    /// `s * stride + j`.
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Liveness column, same layout.
-    alive: Vec<bool>,
-    stride: usize,
-    free_slots: Vec<usize>,
     lanes: Vec<Lane>,
     /// Admission memo `(points, tol, analysis)`: consecutive specs that
     /// start from the same canonical configuration (a sweep crossing
     /// schedulers × δ × faults over one workload) share the cold initial
-    /// classification. Seeding the lane's cache with the memoized analysis
-    /// is indistinguishable from the cache computing it itself.
+    /// classification.
     memo: Option<(Vec<Point>, Tol, RoundAnalysis)>,
 }
 
@@ -217,20 +181,13 @@ impl BatchEngine {
     /// # Panics
     ///
     /// Panics if `width == 0`.
-    pub fn new(width: usize, parts: EngineParts) -> Self {
+    pub fn new(width: usize, mut parts: EngineParts) -> Self {
         assert!(width > 0, "BatchEngine width must be positive");
         BatchEngine {
             width,
-            scratch: parts.scratch,
-            spare_caches: vec![parts.analysis_cache],
-            spare_orders: vec![parts.canon_order],
+            scratch: std::mem::take(&mut parts.scratch),
+            spare_parts: vec![parts],
             spare_traces: Vec::new(),
-            aos: Vec::new(),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            alive: Vec::new(),
-            stride: 0,
-            free_slots: Vec::new(),
             lanes: Vec::new(),
             memo: None,
         }
@@ -244,11 +201,9 @@ impl BatchEngine {
     /// Retires the batch engine and hands back a reusable arena for the
     /// next engine (sequential or batch) to recycle.
     pub fn into_parts(mut self) -> EngineParts {
-        EngineParts {
-            scratch: self.scratch,
-            analysis_cache: self.spare_caches.pop().unwrap_or_default(),
-            canon_order: self.spare_orders.pop().unwrap_or_default(),
-        }
+        let mut parts = self.spare_parts.pop().unwrap_or_default();
+        parts.scratch = self.scratch;
+        parts
     }
 
     /// Runs every spec to completion and returns their results in input
@@ -261,48 +216,31 @@ impl BatchEngine {
     /// Panics if a spec has an empty initial configuration or a
     /// non-positive `delta` (the builder's contract).
     pub fn run(&mut self, specs: Vec<LaneSpec>) -> Vec<LaneResult> {
-        let total = specs.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let stride = specs
-            .iter()
-            .map(|s| s.initial.len())
-            .max()
-            .expect("non-empty specs");
-        self.stride = stride;
-        self.xs.clear();
-        self.xs.resize(self.width * stride, 0.0);
-        self.ys.clear();
-        self.ys.resize(self.width * stride, 0.0);
-        self.alive.clear();
-        self.alive.resize(self.width * stride, false);
-        self.free_slots = (0..self.width).rev().collect();
-
-        let mut results: Vec<Option<LaneResult>> = Vec::with_capacity(total);
-        results.resize_with(total, || None);
+        let mut results: Vec<Option<LaneResult>> = Vec::with_capacity(specs.len());
+        results.resize_with(specs.len(), || None);
         let mut pending = specs.into_iter().enumerate();
-        while self.lanes.len() < self.width {
-            let Some((index, spec)) = pending.next() else {
-                break;
-            };
+        for (index, spec) in pending.by_ref().take(self.width) {
             self.admit(index, spec);
         }
         while !self.lanes.is_empty() {
             let mut i = 0;
             while i < self.lanes.len() {
-                match self.tick_lane(i) {
-                    Some((index, result)) => {
-                        results[index] = Some(result);
-                        if let Some((index, spec)) = pending.next() {
-                            self.admit(index, spec);
-                        }
-                        // Do not advance: swap_remove moved another lane
-                        // into `i` (and a freshly admitted lane sits at the
-                        // end); both get their round this pass.
-                    }
-                    None => i += 1,
+                let lane = &mut self.lanes[i];
+                // The engine run loop's termination check, then one round.
+                let Some(outcome) = lane.engine.outcome(lane.max_rounds, &mut self.scratch) else {
+                    lane.engine.step_in(&mut self.scratch);
+                    i += 1;
+                    continue;
+                };
+                let lane = self.lanes.swap_remove(i);
+                let index = lane.index;
+                results[index] = Some(self.retire(lane, outcome));
+                if let Some((index, spec)) = pending.next() {
+                    self.admit(index, spec);
                 }
+                // Do not advance: swap_remove moved another lane into `i`
+                // (and a freshly admitted lane sits at the end); both get
+                // their round this pass.
             }
         }
         results
@@ -311,28 +249,23 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Admits one spec into a free column slot, replicating
-    /// `EngineBuilder::build` exactly: canonicalise, reset-and-seed the
-    /// recycled analysis cache with the bivalent pre-check's analysis.
+    /// Admits one spec as a lane: the builder's own admission path, with
+    /// recycled parts, a recycled trace and the admission memo's analysis.
     fn admit(&mut self, index: usize, spec: LaneSpec) {
-        assert!(
-            !spec.initial.is_empty(),
-            "BatchEngine: initial configuration must be non-empty"
-        );
-        assert!(spec.delta > 0.0, "minimum step delta must be positive");
-        let positions = Configuration::canonical(spec.initial, spec.tol)
-            .points()
-            .to_vec();
-        let n = positions.len();
-        let mut cache = self.spare_caches.pop().unwrap_or_default();
-        cache.reset();
-        let mut canon_order = self.spare_orders.pop().unwrap_or_default();
-        canon_order.clear();
-        // The builder's bivalent pre-check goes through the cache, so
-        // round 0 hits the memo. The admission memo substitutes for the
-        // cache's own fresh-miss computation — a fresh cache computes with
-        // no warm-start hint, so the memoized analysis is the exact value
-        // it would have produced.
+        let mut builder = EngineBuilder {
+            algorithm: Some(spec.algorithm),
+            scheduler: spec.scheduler,
+            crash_plan: spec.crash_plan,
+            motion: spec.motion,
+            frames: spec.frames,
+            tol: spec.tol,
+            check_invariants: spec.check_invariants,
+            trace_capacity: (!spec.traced).then_some(1),
+            recycled: self.spare_parts.pop(),
+            ..Engine::builder(spec.initial)
+        }
+        .delta(spec.delta);
+        let positions = builder.canonical_initial();
         let analysis = match &self.memo {
             Some((pts, tol, ra)) if *tol == spec.tol && *pts == positions => *ra,
             _ => {
@@ -342,174 +275,44 @@ impl BatchEngine {
                 ra
             }
         };
-        cache.seed(&positions, analysis);
-        let started_bivalent = analysis.analysis.class == Class::Bivalent;
-        let slot = self.free_slots.pop().expect("admit with no free slot");
-        let base = slot * self.stride;
-        for (j, p) in positions.iter().enumerate() {
-            self.xs[base + j] = p.x;
-            self.ys[base + j] = p.y;
-            self.alive[base + j] = true;
-        }
-        // Trace recycling across lane generations: `reset` first (clears
+        // Trace recycling across lane generations: `reset` here clears
         // records, aggregates and the dropped counter while keeping the
-        // buffers), *then* re-bound the capacity for this lane. The order
-        // matters — `set_capacity` evicts and counts over-capacity records,
-        // so binding before resetting would let a retired traced lane's
-        // rounds bleed into the next lane's `dropped()` accounting. A
-        // recycled trace is thereafter indistinguishable from a fresh one
-        // (pinned by `Trace::reset`'s tests and the interleaving
-        // regression test below); the async engine sidesteps the question
-        // by building a fresh `Trace` per engine.
+        // buffers; the builder *then* re-bounds the capacity for this lane.
+        // The order matters — `set_capacity` evicts and counts
+        // over-capacity records, so binding before resetting would let a
+        // retired traced lane's rounds bleed into the next lane's
+        // `dropped()` accounting (pinned by `Trace::reset`'s tests and the
+        // interleaving regression test below).
         let mut trace = self.spare_traces.pop().unwrap_or_default();
         trace.reset();
-        trace.set_capacity(if spec.traced { None } else { Some(1) });
         self.lanes.push(Lane {
-            core: StepCore {
-                algorithm: spec.algorithm,
-                scheduler: spec.scheduler,
-                crash_plan: spec.crash_plan,
-                motion: spec.motion,
-                frame_source: FrameSource::new(spec.frames),
-                tol: spec.tol,
-                delta: spec.delta,
-                check_invariants: spec.check_invariants,
-                started_bivalent,
-                incremental: true,
-                pending_dirty: Vec::new(),
-                canon_order,
-                analysis_cache: cache,
-            },
-            slot,
-            n,
+            engine: builder.build_canonical(positions, Some(analysis), trace),
             index,
-            round: 0,
             max_rounds: spec.max_rounds,
-            trace,
             traced: spec.traced,
-            violations: Vec::new(),
-            record: RoundRecord::default(),
         });
     }
 
-    /// Gives lane `i` its round: the engine run loop's termination checks
-    /// (gathered, round limit), then one step. Returns the input index and
-    /// result when the lane retires, freeing its slot.
-    fn tick_lane(&mut self, i: usize) -> Option<(usize, LaneResult)> {
-        let lane = &mut self.lanes[i];
-        let base = lane.slot * self.stride;
-        let n = lane.n;
-        let snap = lane.core.tol.snap;
-
-        // Termination check, mirroring `Engine::run`. The columnar
-        // prefilter is exact: `masked_max_dist2 <= snap²` is the same
-        // comparison the engine's all-within-snap scan performs, so the
-        // (costlier) staged check — which consults the analysis cache,
-        // exactly like `Engine::is_gathered` — runs for precisely the
-        // lanes where the engine's would.
-        let xs = &self.xs[base..base + n];
-        let ys = &self.ys[base..base + n];
-        let alive = &self.alive[base..base + n];
-        let anchor = alive
-            .iter()
-            .position(|a| *a)
-            .map(|j| Point::new(xs[j], ys[j]));
-        let gathered = match anchor {
-            Some(at) if masked_max_dist2(xs, ys, alive, at) <= snap * snap => {
-                self.aos.clear();
-                self.aos
-                    .extend(xs.iter().zip(ys).map(|(&x, &y)| Point::new(x, y)));
-                lane.core
-                    .gathered_point(&self.aos, alive, &mut self.scratch)
-            }
-            _ => None,
+    /// Summarises a finished lane and recycles its parts and trace.
+    fn retire(&mut self, lane: Lane, outcome: RunOutcome) -> LaneResult {
+        let mut engine = lane.engine;
+        let mut metrics = summarize(outcome, &engine.trace);
+        let (computed, hits, dirty_skips) = engine.analysis_cache_stats();
+        metrics.analysis_cache = Some(CacheStats {
+            computed,
+            hits,
+            dirty_skips,
+        });
+        let result = LaneResult {
+            outcome,
+            metrics,
+            violations: std::mem::take(&mut engine.violations),
+            positions: std::mem::take(&mut engine.positions),
+            trace_jsonl: lane.traced.then(|| engine.trace.to_jsonl()),
         };
-        let outcome = if let Some(point) = gathered {
-            Some(RunOutcome::Gathered {
-                round: lane.round,
-                point,
-            })
-        } else if lane.round >= lane.max_rounds {
-            Some(RunOutcome::RoundLimit { rounds: lane.round })
-        } else {
-            None
-        };
-        if let Some(outcome) = outcome {
-            // Retire: summarise, free the slot, recycle the slabs.
-            self.aos.clear();
-            self.aos
-                .extend(xs.iter().zip(ys).map(|(&x, &y)| Point::new(x, y)));
-            let mut metrics = summarize(outcome, &lane.trace);
-            metrics.analysis_cache = Some(CacheStats {
-                computed: lane.core.analysis_cache.computed(),
-                hits: lane.core.analysis_cache.hits(),
-                dirty_skips: lane.core.analysis_cache.dirty_skips(),
-            });
-            let result = LaneResult {
-                outcome,
-                metrics,
-                violations: std::mem::take(&mut lane.violations),
-                positions: self.aos.clone(),
-                trace_jsonl: lane.traced.then(|| lane.trace.to_jsonl()),
-            };
-            let index = lane.index;
-            self.free_slots.push(lane.slot);
-            let lane = self.lanes.swap_remove(i);
-            self.spare_traces.push(lane.trace);
-            self.spare_caches.push(lane.core.analysis_cache);
-            self.spare_orders.push(lane.core.canon_order);
-            return Some((index, result));
-        }
-
-        // One step: the engine's stage sequence verbatim, over the shared
-        // arena, with the columns as position storage on both ends. The
-        // counter window matches `Engine::step` — everything between its
-        // opening and closing runs contiguously on this thread for this
-        // lane.
-        let window = lane.core.open_round(lane.round);
-        self.aos.clear();
-        self.aos
-            .extend(xs.iter().zip(ys).map(|(&x, &y)| Point::new(x, y)));
-        self.scratch.config.copy_from_slice(&self.aos);
-        let (shared, class) = lane.core.stage_classify(&self.scratch);
-        lane.core.stage_distinct(&mut self.scratch);
-        let alive = &mut self.alive[base..base + n];
-        lane.core
-            .stage_crashes(lane.round, alive, &mut self.scratch);
-        lane.core
-            .stage_activate(lane.round, alive, &mut self.scratch);
-        let travel =
-            lane.core
-                .stage_moves(lane.round, &self.aos, &mut [], &shared, &mut self.scratch);
-        lane.core.stage_apply(&self.aos, &mut self.scratch);
-        // Scatter the canonicalised positions back into the columns (the
-        // sequential engine swaps vectors instead; same values).
-        self.aos.clear();
-        self.aos.extend_from_slice(&self.scratch.canon_out);
-        for (j, p) in self.aos.iter().enumerate() {
-            self.xs[base + j] = p.x;
-            self.ys[base + j] = p.y;
-        }
-        if lane.core.check_invariants {
-            lane.core.stage_audits(
-                lane.round,
-                &self.aos,
-                &shared,
-                &mut self.scratch,
-                &mut PhaseTimer::start(false),
-                &mut lane.violations,
-            );
-        }
-        lane.core.close_round(
-            window,
-            class,
-            travel,
-            &self.scratch,
-            &mut lane.record,
-            &mut lane.trace,
-        );
-        lane.round += 1;
-        None
+        self.spare_traces.push(std::mem::take(&mut engine.trace));
+        self.spare_parts.push(engine.into_parts());
+        result
     }
 }
 
@@ -664,7 +467,7 @@ mod tests {
         }
     }
 
-    /// The trace-recycling regression pinned by the `admit` audit:
+    /// The trace-recycling regression pinned by `admit`'s comment:
     /// interleave traced (unbounded) and untraced (capacity-1) lanes on
     /// one engine so every second-run lane inherits a retired trace of
     /// the *other* kind, and require (a) no rounds leak across scenarios,

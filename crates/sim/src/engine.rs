@@ -33,9 +33,10 @@ use gather_obs::{EngineObs, Phase, PhaseNanos, PhaseTimer};
 
 /// Reusable working memory for the round loop. Cleared and refilled every
 /// round instead of re-`collect`ed, so the steady state allocates nothing.
-/// `std::mem::take`n at the top of [`Engine::step`] (sidestepping borrow
-/// conflicts between the buffers and the engine's trait objects) and put
-/// back before returning.
+/// Lent to [`Engine::step_in`] rather than read through `self` (sidestepping
+/// borrow conflicts between the buffers and the engine's trait objects):
+/// [`Engine::step`] lends the engine's own arena, a
+/// [`crate::batch::BatchEngine`] one arena shared by all its lanes.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// The start-of-round configuration (what every robot LOOKs at).
@@ -90,13 +91,10 @@ pub struct EngineParts {
 /// over *borrowed* mutable state (positions, liveness flags, scratch
 /// buffers supplied by the caller).
 ///
-/// [`Engine`] recomposes the stages — in the exact order and with the
-/// exact operations of the original monolithic loop — around its own
-/// position log, trace and phase timers. The lockstep
-/// [`crate::batch::BatchEngine`] drives the *same* stage code over
-/// scenario-major columnar state, which is what makes batch execution
-/// bit-identical to sequential runs by construction rather than by
-/// re-implementation.
+/// [`Engine::step_in`] composes the stages into the one FSYNC/SSYNC round
+/// (a [`crate::batch::BatchEngine`] lane *is* an `Engine`); the
+/// [`crate::async_engine::AsyncEngine`] drives the same stages per event
+/// batch.
 ///
 /// Stage methods take `round`, state slices and a [`Scratch`] explicitly
 /// instead of owning them: one scratch arena can then serve many cores
@@ -415,29 +413,23 @@ impl StepCore {
         self.algorithm.destination(&snap)
     }
 
-    /// The `GATHERED` predicate (Definition 9) over borrowed state: all
-    /// robots with a `true` mask entry occupy one location *and* the
-    /// algorithm, applied to the full configuration, does not instruct
-    /// that location to move. Returns the gathering location when it
-    /// holds. The mask marks the *correct* robots (live and
-    /// non-byzantine); a batch lane's mask is its alive column.
-    pub(crate) fn gathered_point(
+    /// The `GATHERED` predicate (Definition 9) of both engines: every
+    /// robot `correct` selects occupies one location *and* the algorithm,
+    /// applied to the full configuration (faulty robots included), does
+    /// not instruct that location to move. Returns the gathering location
+    /// when it holds; `None` when no robot is correct (vacuous, treated as
+    /// failure).
+    pub(crate) fn gathered(
         &mut self,
         positions: &[Point],
-        correct: &[bool],
+        correct: impl Fn(usize) -> bool,
         scratch: &mut Scratch,
     ) -> Option<Point> {
-        let first = positions
-            .iter()
-            .zip(correct)
-            .find(|(_, c)| **c)
-            .map(|(p, _)| *p)?;
-        let all_together = positions
-            .iter()
-            .zip(correct)
-            .filter(|(_, c)| **c)
-            .all(|(p, _)| p.within(first, self.tol.snap));
-        if !all_together {
+        let mut together = (0..positions.len())
+            .filter(|&i| correct(i))
+            .map(|i| positions[i]);
+        let first = together.next()?;
+        if !together.all(|p| p.within(first, self.tol.snap)) {
             return None;
         }
         let dest = self.destination_at(positions, first, scratch);
@@ -545,22 +537,25 @@ impl RunOutcome {
 }
 
 /// Builder for [`Engine`] (see [`Engine::builder`]).
+///
+/// The fields are crate-visible so that a [`crate::batch::LaneSpec`] maps
+/// onto a builder and the async builder reuses the shared ones.
 pub struct EngineBuilder {
-    initial: Vec<Point>,
-    algorithm: Option<Box<dyn Algorithm>>,
-    byzantine: Vec<(usize, Box<dyn ByzantinePolicy>)>,
-    scheduler: Box<dyn Scheduler>,
-    crash_plan: Box<dyn CrashPlan>,
-    motion: Box<dyn MotionAdversary>,
-    frames: FramePolicy,
-    tol: Tol,
-    delta: f64,
-    record_positions: bool,
-    check_invariants: bool,
-    incremental: bool,
-    trace_capacity: Option<usize>,
-    recycled: Option<EngineParts>,
-    obs: Option<EngineObs>,
+    pub(crate) initial: Vec<Point>,
+    pub(crate) algorithm: Option<Box<dyn Algorithm>>,
+    pub(crate) byzantine: Vec<(usize, Box<dyn ByzantinePolicy>)>,
+    pub(crate) scheduler: Box<dyn Scheduler>,
+    pub(crate) crash_plan: Box<dyn CrashPlan>,
+    pub(crate) motion: Box<dyn MotionAdversary>,
+    pub(crate) frames: FramePolicy,
+    pub(crate) tol: Tol,
+    pub(crate) delta: f64,
+    pub(crate) record_positions: bool,
+    pub(crate) check_invariants: bool,
+    pub(crate) incremental: bool,
+    pub(crate) trace_capacity: Option<usize>,
+    pub(crate) recycled: Option<EngineParts>,
+    pub(crate) obs: Option<EngineObs>,
 }
 
 impl EngineBuilder {
@@ -700,77 +695,127 @@ impl EngineBuilder {
     ///
     /// Panics if no algorithm was set or the initial configuration is
     /// empty.
-    pub fn build(self) -> Engine {
-        let algorithm = self
-            .algorithm
-            .expect("EngineBuilder: algorithm is required");
+    pub fn build(mut self) -> Engine {
+        let positions = self.canonical_initial();
+        self.build_canonical(positions, None, Trace::new())
+    }
+
+    /// Takes the initial positions out of the builder, canonicalised
+    /// (points within `tol.snap` merge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the initial configuration is empty.
+    pub(crate) fn canonical_initial(&mut self) -> Vec<Point> {
         assert!(
             !self.initial.is_empty(),
-            "EngineBuilder: initial configuration must be non-empty"
+            "initial configuration must be non-empty"
         );
-        let positions = Configuration::canonical(self.initial, self.tol)
+        Configuration::canonical(std::mem::take(&mut self.initial), self.tol)
             .points()
-            .to_vec();
+            .to_vec()
+    }
+
+    /// [`EngineBuilder::build`] over already-canonical `positions` (the
+    /// builder's `initial` is ignored), recording into `trace`, which must
+    /// be fresh or reset. `admitted` is the analysis of `positions` when
+    /// the caller already has it (the batch's admission memo); see
+    /// [`EngineBuilder::core`].
+    pub(crate) fn build_canonical(
+        mut self,
+        positions: Vec<Point>,
+        admitted: Option<RoundAnalysis>,
+        mut trace: Trace,
+    ) -> Engine {
         let n = positions.len();
-        let positions_clone = positions.clone();
+        // Without byzantine robots the vector stays empty: `stage_moves`
+        // and `is_correct` read a missing entry as "not byzantine".
+        let mut byzantine: Vec<Option<Box<dyn ByzantinePolicy>>> = Vec::new();
+        if !self.byzantine.is_empty() {
+            byzantine.resize_with(n, || None);
+            for (robot, policy) in std::mem::take(&mut self.byzantine) {
+                assert!(robot < n, "byzantine robot index {robot} out of range");
+                byzantine[robot] = Some(policy);
+            }
+        }
+        let position_log = if self.record_positions {
+            vec![positions.clone()]
+        } else {
+            Vec::new()
+        };
+        let record_positions = self.record_positions;
+        let obs = self.obs.take();
+        trace.set_capacity(self.trace_capacity);
+        let (core, scratch) = self.core(&positions, admitted);
+        Engine {
+            positions,
+            alive: vec![true; n],
+            byzantine,
+            round: 0,
+            core,
+            position_log,
+            record_positions,
+            trace,
+            violations: Vec::new(),
+            scratch,
+            last_record: RoundRecord::default(),
+            obs,
+        }
+    }
+
+    /// The one [`StepCore`] constructor of all three drivers, over the
+    /// canonical initial `positions`: recycles the parts (a recycled cache
+    /// must behave exactly like a fresh one — stale memos or warm-start
+    /// hints would leak one run's state into the next — so it is reset,
+    /// keeping only heap capacity) and runs the bivalent pre-check through
+    /// the cache, so round 0 analyses the same configuration as a memo hit
+    /// instead of classifying a throwaway copy cold. An `admitted` analysis
+    /// is seeded into the cache in place of that computation: a reset
+    /// cache computes with no warm-start hint, so seeding the value it
+    /// would have produced is indistinguishable from computing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no algorithm was set.
+    pub(crate) fn core(
+        self,
+        positions: &[Point],
+        admitted: Option<RoundAnalysis>,
+    ) -> (StepCore, Scratch) {
+        let algorithm = self.algorithm.expect("algorithm is required");
         let EngineParts {
             mut scratch,
             mut analysis_cache,
             mut canon_order,
         } = self.recycled.unwrap_or_default();
         canon_order.clear();
-        // A recycled cache must behave exactly like a fresh one (stale memos
-        // or warm-start hints would leak one run's state into the next);
-        // reset keeps only the heap capacity.
         analysis_cache.reset();
-        scratch.config.copy_from_slice(&positions);
-        // The bivalent pre-check goes through the cache: round 1 analyses
-        // the same configuration and hits the memo instead of classifying
-        // a throwaway copy cold.
-        let started_bivalent = analysis_cache
-            .analyse(&scratch.config, self.tol)
-            .analysis
-            .class
-            == Class::Bivalent;
-        let mut byzantine: Vec<Option<Box<dyn ByzantinePolicy>>> = (0..n).map(|_| None).collect();
-        for (robot, policy) in self.byzantine {
-            assert!(robot < n, "byzantine robot index {robot} out of range");
-            byzantine[robot] = Some(policy);
-        }
-        let mut trace = Trace::new();
-        trace.set_capacity(self.trace_capacity);
-        Engine {
-            positions,
-            alive: vec![true; n],
-            byzantine,
-            round: 0,
-            core: StepCore {
-                algorithm,
-                scheduler: self.scheduler,
-                crash_plan: self.crash_plan,
-                motion: self.motion,
-                frame_source: FrameSource::new(self.frames),
-                tol: self.tol,
-                delta: self.delta,
-                check_invariants: self.check_invariants,
-                started_bivalent,
-                incremental: self.incremental,
-                pending_dirty: Vec::new(),
-                canon_order,
-                analysis_cache,
-            },
-            position_log: if self.record_positions {
-                vec![positions_clone]
-            } else {
-                Vec::new()
-            },
-            record_positions: self.record_positions,
-            trace,
-            violations: Vec::new(),
-            scratch,
-            last_record: RoundRecord::default(),
-            obs: self.obs,
-        }
+        let analysis = match admitted {
+            Some(analysis) => {
+                analysis_cache.seed(positions, analysis);
+                analysis
+            }
+            None => {
+                scratch.config.copy_from_slice(positions);
+                analysis_cache.analyse(&scratch.config, self.tol)
+            }
+        };
+        let core = StepCore {
+            algorithm,
+            scheduler: self.scheduler,
+            crash_plan: self.crash_plan,
+            motion: self.motion,
+            frame_source: FrameSource::new(self.frames),
+            tol: self.tol,
+            delta: self.delta,
+            check_invariants: self.check_invariants,
+            started_bivalent: analysis.analysis.class == Class::Bivalent,
+            incremental: self.incremental,
+            pending_dirty: Vec::new(),
+            canon_order,
+            analysis_cache,
+        };
+        (core, scratch)
     }
 }
 
@@ -796,15 +841,19 @@ impl EngineBuilder {
 /// assert_eq!(engine.round(), 10);
 /// ```
 pub struct Engine {
-    positions: Vec<Point>,
+    pub(crate) positions: Vec<Point>,
     alive: Vec<bool>,
+    /// Empty unless the builder set a byzantine robot; a missing entry
+    /// means "not byzantine".
     byzantine: Vec<Option<Box<dyn ByzantinePolicy>>>,
     round: u64,
     core: StepCore,
     position_log: Vec<Vec<Point>>,
     record_positions: bool,
-    trace: Trace,
-    violations: Vec<String>,
+    pub(crate) trace: Trace,
+    pub(crate) violations: Vec<String>,
+    /// The arena [`Engine::step`] lends to [`Engine::step_in`]; left empty
+    /// in a batch lane, which steps in its batch's shared arena.
     scratch: Scratch,
     last_record: RoundRecord,
     obs: Option<EngineObs>,
@@ -865,7 +914,7 @@ impl Engine {
 
     /// Is robot `i` correct (neither crashed nor byzantine)?
     pub fn is_correct(&self, i: usize) -> bool {
-        self.alive[i] && self.byzantine[i].is_none()
+        is_correct(&self.alive, &self.byzantine, i)
     }
 
     /// Number of correct robots.
@@ -902,23 +951,36 @@ impl Engine {
     /// the full configuration (crashed robots included), does not instruct
     /// that location to move.
     pub fn is_gathered(&mut self) -> bool {
-        let tol = self.core.tol;
-        let Some(first) = (0..self.positions.len())
-            .find(|i| self.is_correct(*i))
-            .map(|i| self.positions[i])
-        else {
-            return false; // no live robots: vacuous, treated as failure
-        };
-        let all_together = (0..self.positions.len())
-            .filter(|i| self.is_correct(*i))
-            .all(|i| self.positions[i].within(first, tol.snap));
-        if !all_together {
-            return false;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let gathered = self.gathered(&mut scratch).is_some();
+        self.scratch = scratch;
+        gathered
+    }
+
+    /// The gathering location when [`Engine::is_gathered`] holds.
+    fn gathered(&mut self, scratch: &mut Scratch) -> Option<Point> {
+        let (alive, byzantine) = (&self.alive, &self.byzantine);
+        self.core.gathered(
+            &self.positions,
+            |i| is_correct(alive, byzantine, i),
+            scratch,
+        )
+    }
+
+    /// The run loop's termination check before each round, in `scratch`:
+    /// the outcome when the `GATHERED` predicate holds or `max_rounds`
+    /// rounds have executed, `None` while the run goes on.
+    pub(crate) fn outcome(&mut self, max_rounds: u64, scratch: &mut Scratch) -> Option<RunOutcome> {
+        if let Some(point) = self.gathered(scratch) {
+            Some(RunOutcome::Gathered {
+                round: self.round,
+                point,
+            })
+        } else if self.round >= max_rounds {
+            Some(RunOutcome::RoundLimit { rounds: self.round })
+        } else {
+            None
         }
-        let dest = self
-            .core
-            .destination_at(&self.positions, first, &mut self.scratch);
-        dest.within(first, tol.snap)
     }
 
     /// Cumulative analysis-cache counters `(computed, hits, dirty_skips)`.
@@ -962,6 +1024,16 @@ impl Engine {
     /// Executes one round and returns its record (borrowed from the
     /// engine; also appended to the [`Trace`]).
     pub fn step(&mut self) -> &RoundRecord {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.step_in(&mut scratch);
+        self.scratch = scratch;
+        &self.last_record
+    }
+
+    /// Executes one round in the lent `scratch` arena: the one FSYNC/SSYNC
+    /// stage sequence, shared by [`Engine::step`], [`Engine::run`] and the
+    /// batch lanes.
+    pub(crate) fn step_in(&mut self, scratch: &mut Scratch) {
         let window = self.core.open_round(self.round);
         // Phase attribution. With instrumentation absent or disabled the
         // timer holds no `Instant` and every lap below is one branch — the
@@ -971,27 +1043,22 @@ impl Engine {
         let timing = self.obs.as_ref().is_some_and(|o| o.is_enabled());
         let mut timer = PhaseTimer::start(timing);
         let solver_nanos_before = if timing { weiszfeld_nanos() } else { 0 };
-        // The working buffers live outside `self` for the duration of the
-        // round so they can be lent to snapshots while the engine's trait
-        // objects run.
-        let mut scratch = std::mem::take(&mut self.scratch);
         scratch.config.copy_from_slice(&self.positions);
         timer.lap(Phase::Snapshot);
         // The single shared analysis of the start-of-round configuration —
         // every activated robot LOOKs at exactly this configuration (ATOM),
         // so one classification serves them all.
-        let (shared, class) = self.core.stage_classify(&scratch);
+        let (shared, class) = self.core.stage_classify(scratch);
         timer.lap(Phase::Classify);
-        self.core.stage_distinct(&mut scratch);
+        self.core.stage_distinct(scratch);
         timer.lap(Phase::Snapshot);
 
         // 1. Crashes.
         self.core
-            .stage_crashes(self.round, &mut self.alive, &mut scratch);
+            .stage_crashes(self.round, &mut self.alive, scratch);
 
         // 2. Activation.
-        self.core
-            .stage_activate(self.round, &self.alive, &mut scratch);
+        self.core.stage_activate(self.round, &self.alive, scratch);
 
         // 3. Look–Compute–Move for every activated robot, from the same
         //    start-of-round configuration (ATOM atomicity).
@@ -1000,13 +1067,13 @@ impl Engine {
             &self.positions,
             &mut self.byzantine,
             &shared,
-            &mut scratch,
+            scratch,
         );
 
         // 4. Simultaneous application + canonicalisation (into the scratch
         //    output buffer, then swapped with the engine's position vector —
         //    last round's positions become next round's buffer).
-        self.core.stage_apply(&self.positions, &mut scratch);
+        self.core.stage_apply(&self.positions, scratch);
         std::mem::swap(&mut self.positions, &mut scratch.canon_out);
 
         if self.record_positions {
@@ -1020,7 +1087,7 @@ impl Engine {
                 self.round,
                 &self.positions,
                 &shared,
-                &mut scratch,
+                scratch,
                 &mut timer,
                 &mut self.violations,
             );
@@ -1031,7 +1098,7 @@ impl Engine {
             window,
             class,
             travel,
-            &scratch,
+            scratch,
             &mut self.last_record,
             &mut self.trace,
         );
@@ -1052,30 +1119,27 @@ impl Engine {
             }
         }
         self.round += 1;
-        self.scratch = scratch;
-        &self.last_record
     }
 
     /// Runs until the `GATHERED` predicate holds or `max_rounds` rounds
     /// have executed.
     pub fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        loop {
-            if self.is_gathered() {
-                let point = (0..self.positions.len())
-                    .find(|i| self.is_correct(*i))
-                    .map(|i| self.positions[i])
-                    .expect("gathered implies a correct robot");
-                return RunOutcome::Gathered {
-                    round: self.round,
-                    point,
-                };
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let outcome = loop {
+            if let Some(outcome) = self.outcome(max_rounds, &mut scratch) {
+                break outcome;
             }
-            if self.round >= max_rounds {
-                return RunOutcome::RoundLimit { rounds: self.round };
-            }
-            self.step();
-        }
+            self.step_in(&mut scratch);
+        };
+        self.scratch = scratch;
+        outcome
     }
+}
+
+/// Is robot `i` correct: alive and not byzantine (`byzantine` may be
+/// shorter than `alive`; a missing entry means "not byzantine").
+fn is_correct(alive: &[bool], byzantine: &[Option<Box<dyn ByzantinePolicy>>], i: usize) -> bool {
+    alive[i] && byzantine.get(i).is_none_or(Option::is_none)
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 #   sh run_experiments.sh --bench-only BASE [PAIRS] [WORKLOAD...]
 #
 # Builds perfbench from the working tree and from BASE (checked out in a
-# temporary git worktree, removed on exit), then runs each workload in
+# throwaway `git clone` under the temporary directory, removed on exit, so
+# nothing is written under the repo's .git), then runs each workload in
 # PAIRS base/change pairs at seeds 11, 12, ..., alternating which side of
 # a pair runs first. Every run is one `perfbench --seconds <run_seconds of
 # BENCHMARK.json> --trace 0` process. Prints, per workload and end-to-end
@@ -29,15 +30,16 @@ if [ $# -gt 0 ]; then
 fi
 workloads="${*:-theorem-sweep async-team service-mix}"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)"
-git rev-parse --verify -q "$base^{commit}" >/dev/null || {
+commit="$(git rev-parse --verify -q "$base^{commit}")" || {
   echo "bench-only: $base is not a commit" >&2
   exit 2
 }
 
 work="$(mktemp -d)"
 tree="$work/base"
-git worktree add --detach -q "$tree" "$base"
-trap 'git worktree remove --force "$tree"' EXIT
+trap 'rm -rf "$tree"' EXIT
+git clone -q --no-checkout . "$tree"
+git -C "$tree" checkout -q --detach "$commit"
 
 echo "== build perfbench: working tree =="
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml

@@ -109,7 +109,7 @@ cargo run --release --offline -p gather-bench \
   --out "$smoke_out"
 
 echo "== sweep-smoke (B10 vs committed baseline, batch vs sequential) =="
-# Quick B10 run: the columnar mega-sweep engine against the
+# Quick B10 run: the lockstep mega-sweep engine against the
 # one-engine-per-scenario map path, both on the incremental analysis path
 # every engine driver runs. Always fails if batched RunMetrics
 # are not bit-identical to the sequential path at any pool size (the
